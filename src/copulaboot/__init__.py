@@ -7,13 +7,9 @@ percentile or highest-density interval.
 """
 
 from .copula import (
-    CopulaDraw,
     CorrelationFactor,
     CorrelationMatrix,
-    copula_transform,
-    draw_dependent_samples,
     factor_correlation,
-    sample_latent,
     validate_correlation_matrix,
 )
 from .coverage import CoverageResult, CoverageScenario, clopper_pearson, run_coverage
@@ -32,6 +28,7 @@ from .engine import (
     Combiner,
     EmpiricalSample,
     boot_comb,
+    draw_dependent_samples,
     hdi_interval,
     percentile_interval,
 )
@@ -70,7 +67,6 @@ __all__ = [
     "BootstrapConfig",
     "CombinedEstimate",
     "Combiner",
-    "CopulaDraw",
     "CopulabootError",
     "CorrelationFactor",
     "CorrelationMatrix",
@@ -95,7 +91,6 @@ __all__ = [
     "boot_comb",
     "cdf",
     "clopper_pearson",
-    "copula_transform",
     "derive_seed",
     "draw_dependent_samples",
     "eval_expression",
@@ -111,7 +106,6 @@ __all__ = [
     "rho_sweep",
     "rogan_gladen",
     "run_coverage",
-    "sample_latent",
     "scatter_draws",
     "sens_spec_sigma",
     "std_normal_cdf",

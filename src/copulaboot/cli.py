@@ -24,16 +24,7 @@ from . import __version__
 from .copula import CorrelationMatrix, validate_correlation_matrix
 from .coverage import CoverageScenario, run_coverage
 from .engine import BootstrapConfig, Combiner, CombinedEstimate, boot_comb
-from .errors import (
-    CopulabootError,
-    DomainError,
-    EvalError,
-    FitError,
-    InvalidCorrelationError,
-    NonFiniteDrawError,
-    ParseError,
-    UninformativeTestError,
-)
+from .errors import CopulabootError, DomainError, InvalidCorrelationError, ParseError
 from .fitting import QuantileConstraint, fit_from_quantiles
 from .prevalence import (
     PrevAdjustRequest,
@@ -329,8 +320,6 @@ def _cmd_sweep(args) -> int:
     for v in (args.rho_from, args.rho_to):
         if not -1.0 <= v <= 1.0:
             raise UsageError(f"correlation must be in [-1, 1], got {v}")
-    args.rho_sens_spec = None
-    args.sigma = None
     req = _prev_request(args)
     grid = np.linspace(args.rho_from, args.rho_to, args.steps + 1)
     rows = rho_sweep(req, [float(r) for r in grid])
@@ -349,16 +338,7 @@ def _cmd_scatter(args) -> int:
         raise UsageError(f"--rho must be in [-1, 1], got {args.rho}")
     sens_ci = _parse_ci("--sens-ci", args.sens_ci)
     spec_ci = _parse_ci("--spec-ci", args.spec_ci)
-    config = _make_config(args)
-    # prev CI is irrelevant for the scatter; a placeholder keeps the request valid
-    req = PrevAdjustRequest(
-        prev_ci=(0.25, 0.75),
-        sens_ci=sens_ci,
-        spec_ci=spec_ci,
-        sigma=sens_spec_sigma(0.0),
-        config=config,
-    )
-    draws = scatter_draws(req, args.rho, args.m)
+    draws = scatter_draws(sens_ci, spec_ci, args.rho, args.m, args.seed)
     print("sens,spec")
     for s, c in draws:
         print(f"{float(s)!r},{float(c)!r}")
@@ -419,13 +399,15 @@ def _load_scenario(path: str, args) -> CoverageScenario:
         raise UsageError("scenario file: missing field 'trials' (or pass --trials)")
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
+    if args.threads < 1:
+        raise UsageError(f"threads must be >= 1, got {args.threads}")
     try:
         config = BootstrapConfig(
             n=int(_scenario_field(data, "n", int)),
             seed=args.seed,
             method=_scenario_field(data, "method", str),
             level=_scenario_field(data, "level", float),
-            threads=args.threads or 1,
+            threads=args.threads,
         )
         true_combined = float(
             combiner(np.asarray(true_params, dtype=float)[None, :])[0]
@@ -539,14 +521,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec-ci", required=True, metavar="L,U")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--m", type=int, default=10_000, help="number of draws")
-    _add_common_config(p)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=_cmd_scatter)
 
     p = sub.add_parser("coverage", help="Monte-Carlo coverage experiment")
     p.add_argument("--scenario", required=True, metavar="PATH", help="JSON scenario file")
     p.add_argument("--trials", type=int, help="override scenario trial count")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_coverage)
 
     return parser
@@ -564,15 +546,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        FitError,
-        InvalidCorrelationError,
-        NonFiniteDrawError,
-        UninformativeTestError,
-        EvalError,
-        DomainError,
-        CopulabootError,
-    ) as exc:
+    except CopulabootError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     log.info("completed in %.2fs", time.time() - started)

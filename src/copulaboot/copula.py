@@ -1,32 +1,27 @@
-"""Gaussian copula sampling with a specified correlation matrix.
+"""Gaussian copula: correlation matrices and the latent uniforms.
 
 Validates the correlation matrix, factors it (Cholesky, with a
 semidefinite fallback so singular matrices like perfect correlation work),
-draws latent multivariate normals, maps them through the standard normal
-CDF to uniforms, and through the marginal inverse CDFs to parameter draws.
+and turns stream uniforms into copula uniforms: latent multivariate normals
+mapped back through the standard normal CDF. The engine's sampler applies
+the marginal inverse CDFs to them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .distributions import quantile, std_normal_cdf, std_normal_quantile
+from .distributions import std_normal_cdf, std_normal_quantile
 from .errors import InvalidCorrelationError
-from .fitting import FittedDistribution
 from .rng import _U_HIGH, _U_LOW, RngStream
 
 __all__ = [
     "CorrelationMatrix",
     "CorrelationFactor",
-    "CopulaDraw",
     "validate_correlation_matrix",
     "factor_correlation",
-    "sample_latent",
-    "copula_transform",
-    "draw_dependent_samples",
 ]
 
 # smallest eigenvalue tolerated before a matrix is rejected as not PSD
@@ -58,15 +53,6 @@ class CorrelationFactor:
 
     L: np.ndarray
     rank: int
-
-
-@dataclass(frozen=True)
-class CopulaDraw:
-    """One joint sample: latent normals z, uniforms u, parameter values x."""
-
-    z: np.ndarray
-    u: np.ndarray
-    x: np.ndarray
 
 
 def validate_correlation_matrix(
@@ -142,58 +128,8 @@ def factor_correlation(sigma: CorrelationMatrix) -> CorrelationFactor:
     return CorrelationFactor(L=L, rank=rank)
 
 
-def sample_latent(factor: CorrelationFactor, rng: RngStream) -> np.ndarray:
-    """One latent multivariate normal vector z = L @ g, advancing the stream."""
-    g = rng.normals(factor.L.shape[0])
-    return factor.L @ g
-
-
-def copula_transform(
-    z: np.ndarray, marginals: Sequence[FittedDistribution]
-) -> CopulaDraw:
-    """Map latent normals through Phi and the marginal inverse CDFs."""
-    z = np.asarray(z, dtype=float)
-    if z.shape[0] != len(marginals):
-        raise ValueError(
-            f"dimension mismatch: {z.shape[0]} latent values, "
-            f"{len(marginals)} marginals"
-        )
-    u = np.clip(std_normal_cdf(z), _U_LOW, _U_HIGH)
-    x = np.array([quantile(m.spec, u_i) for m, u_i in zip(marginals, u)])
-    return CopulaDraw(z=z, u=u, x=x)
-
-
 def _is_identity(L: np.ndarray) -> bool:
     return np.array_equal(L, np.eye(L.shape[0]))
-
-
-def draw_dependent_samples(
-    marginals: Sequence[FittedDistribution],
-    sigma: CorrelationMatrix,
-    n: int,
-    rng: RngStream,
-) -> np.ndarray:
-    """Draw an n x d matrix of dependent parameter values.
-
-    Draw i consumes the d uniforms at stream positions i*d .. (i+1)*d - 1,
-    so any chunking of the work reproduces the same output. With the
-    identity matrix the latent stage is skipped and the output is
-    bit-identical to independent per-marginal inverse-transform sampling
-    from the same stream.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    d = len(marginals)
-    if sigma.d != d:
-        raise ValueError(
-            f"dimension mismatch: {d} marginals, {sigma.d}x{sigma.d} matrix"
-        )
-    factor = factor_correlation(sigma)
-    u = _draw_uniform_block(factor, n, d, rng)
-    x = np.empty((n, d))
-    for i, m in enumerate(marginals):
-        x[:, i] = quantile(m.spec, u[:, i])
-    return x
 
 
 def _draw_uniform_block(

@@ -9,8 +9,7 @@ value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -117,14 +116,7 @@ def run_coverage(scenario: CoverageScenario, master_seed: int) -> CoverageResult
                 marginals.append(
                     fit_from_quantiles("beta", QuantileConstraint(low, upp))
                 )
-            config = BootstrapConfig(
-                n=scenario.config.n,
-                seed=trial_seed,
-                method=scenario.config.method,
-                level=scenario.config.level,
-                chunk_size=scenario.config.chunk_size,
-                threads=scenario.config.threads,
-            )
+            config = replace(scenario.config, seed=trial_seed)
             est = boot_comb(marginals, scenario.sigma, scenario.combiner, config)
         except FitError:
             excluded += 1

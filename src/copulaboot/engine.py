@@ -35,6 +35,7 @@ __all__ = [
     "CombinedEstimate",
     "Combiner",
     "boot_comb",
+    "draw_dependent_samples",
     "percentile_interval",
     "hdi_interval",
 ]
@@ -92,6 +93,17 @@ class CombinedEstimate:
     sample: Optional[EmpiricalSample] = None
 
 
+def _rogan_gladen_raw(x: np.ndarray) -> np.ndarray:
+    """Untruncated Rogan-Gladen (prev + spec - 1)/(sens + spec - 1) per draw.
+
+    Columns are (prev, sens, spec). The operation order matches the parsed
+    expression min(max((prev+spec-1)/(sens+spec-1),0),1), so the builtin
+    and expression routes are bit-identical.
+    """
+    with np.errstate(all="ignore"):
+        return ((x[:, 0] + x[:, 2]) - 1.0) / ((x[:, 1] + x[:, 2]) - 1.0)
+
+
 class Combiner:
     """A combination function of fixed arity applied draw-wise.
 
@@ -121,13 +133,8 @@ class Combiner:
 
     @classmethod
     def rogan_gladen(cls) -> "Combiner":
-        # argument order (prev, sens, spec); operation order matches the
-        # parsed expression min(max((prev+spec-1)/(sens+spec-1),0),1) so the
-        # two routes are bit-identical
         def fn(x):
-            with np.errstate(all="ignore"):
-                raw = ((x[:, 0] + x[:, 2]) - 1.0) / ((x[:, 1] + x[:, 2]) - 1.0)
-            return np.minimum(np.maximum(raw, 0.0), 1.0)
+            return np.minimum(np.maximum(_rogan_gladen_raw(x), 0.0), 1.0)
 
         return cls(fn, 3, "roganGladen")
 
@@ -206,15 +213,45 @@ def hdi_interval(values, level: float) -> tuple[float, float]:
 
 
 def _combine_chunk(
-    marginals, factor, combiner, rng_base: RngStream, start: int, stop: int
-):
+    marginals, factor, rng_base: RngStream, start: int, stop: int
+) -> np.ndarray:
+    """Parameter draws start..stop-1 as a (stop - start) x d matrix.
+
+    Draw i consumes the d uniforms at stream positions c + i*d .. c + (i+1)*d - 1,
+    where c is ``rng_base.counter``, so any chunking of the work reproduces
+    the same draws. This is the package's only sampler.
+    """
     d = len(marginals)
     rng = rng_base.at(rng_base.counter + start * d)
     u = _draw_uniform_block(factor, stop - start, d, rng)
     x = np.empty((stop - start, d))
     for i, marg in enumerate(marginals):
         x[:, i] = quantile(marg.spec, u[:, i])
-    return x, combiner(x)
+    return x
+
+
+def draw_dependent_samples(
+    marginals: Sequence[FittedDistribution],
+    sigma: CorrelationMatrix,
+    n: int,
+    rng: RngStream,
+) -> np.ndarray:
+    """Draw an n x d matrix of dependent parameter values, advancing ``rng``.
+
+    With the identity matrix the latent stage is skipped and the output is
+    bit-identical to independent per-marginal inverse-transform sampling
+    from the same stream.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    d = len(marginals)
+    if sigma.d != d:
+        raise ValueError(
+            f"dimension mismatch: {d} marginals, {sigma.d}x{sigma.d} matrix"
+        )
+    x = _combine_chunk(marginals, factor_correlation(sigma), rng, 0, n)
+    rng.counter += n * d
+    return x
 
 
 def boot_comb(
@@ -262,8 +299,8 @@ def boot_comb(
 
     def run_chunk(span):
         start, stop = span
-        x, v = _combine_chunk(marginals, factor, combiner, rng_base, start, stop)
-        values[start:stop] = v
+        x = _combine_chunk(marginals, factor, rng_base, start, stop)
+        values[start:stop] = combiner(x)
         if draws is not None:
             draws[start:stop] = x
 
@@ -278,7 +315,7 @@ def boot_comb(
     if not np.all(finite):
         idx = int(np.argmin(finite))
         # re-derive the inputs of the offending draw for the error message
-        x, _ = _combine_chunk(marginals, factor, combiner, rng_base, idx, idx + 1)
+        x = _combine_chunk(marginals, factor, rng_base, idx, idx + 1)
         raise NonFiniteDrawError(idx, x[0].tolist(), values[idx])
 
     dropped = 0

@@ -15,8 +15,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .copula import CorrelationMatrix, draw_dependent_samples, validate_correlation_matrix
-from .engine import BootstrapConfig, Combiner, CombinedEstimate, boot_comb
+from .copula import CorrelationMatrix, validate_correlation_matrix
+from .engine import (
+    BootstrapConfig,
+    Combiner,
+    CombinedEstimate,
+    _rogan_gladen_raw,
+    boot_comb,
+    draw_dependent_samples,
+)
 from .errors import DomainError, UninformativeTestError
 from .fitting import FittedDistribution, QuantileConstraint, fit_from_quantiles
 from .rng import RngStream
@@ -109,8 +116,7 @@ def _guarded_rogan_gladen() -> Combiner:
                 "check the sensitivity and specificity intervals",
                 count=bad,
             )
-        with np.errstate(all="ignore"):
-            return ((x[:, 0] + x[:, 2]) - 1.0) / ((x[:, 1] + x[:, 2]) - 1.0)
+        return _rogan_gladen_raw(x)
 
     return Combiner(fn, 3, "roganGladen")
 
@@ -159,7 +165,11 @@ def rho_sweep(
 
 
 def scatter_draws(
-    req: PrevAdjustRequest, rho: float, m: int, stream_id: int = 0
+    sens_ci: tuple[float, float],
+    spec_ci: tuple[float, float],
+    rho: float,
+    m: int,
+    seed: int,
 ) -> np.ndarray:
     """m x 2 matrix of copula-coupled (sensitivity, specificity) draws."""
     if m < 1:
@@ -168,8 +178,7 @@ def scatter_draws(
         raise DomainError(f"correlation must be in [-1, 1], got {rho}")
     marginals = [
         fit_from_quantiles("beta", QuantileConstraint(*ci))
-        for ci in (req.sens_ci, req.spec_ci)
+        for ci in (sens_ci, spec_ci)
     ]
     sigma = validate_correlation_matrix([[1.0, rho], [rho, 1.0]])
-    rng = RngStream(req.config.seed, stream_id)
-    return draw_dependent_samples(marginals, sigma, m, rng)
+    return draw_dependent_samples(marginals, sigma, m, RngStream(seed))

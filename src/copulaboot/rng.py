@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .distributions import std_normal_quantile
-
 __all__ = ["RngStream", "derive_seed"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -65,18 +63,7 @@ class RngStream:
         self.counter += n
         return out
 
-    def normals(self, n: int) -> np.ndarray:
-        """Next n iid standard normals by inverse transform.
-
-        Consumes exactly one uniform per normal, which is what keeps stream
-        positions draw-indexed.
-        """
-        u = np.clip(self.uniforms(n), _U_LOW, _U_HIGH)
-        return std_normal_quantile(u)
-
     def at(self, counter: int) -> "RngStream":
         """A fresh stream positioned at an absolute counter offset."""
         return RngStream(self.seed, self.stream_id, counter)
 
-    def clone(self) -> "RngStream":
-        return RngStream(self.seed, self.stream_id, self.counter)

@@ -271,6 +271,13 @@ class TestCoverageCmd:
         )
         assert code == 2
 
+    def test_threads_zero_exits_2(self, capsys, tmp_path):
+        path = self.write_scenario(tmp_path)
+        code, _ = run_cli(
+            ["coverage", "--scenario", path, "--threads", "0"], capsys
+        )
+        assert code == 2
+
     def test_malformed_scenario_names_field(self, capsys, tmp_path):
         path = self.write_scenario(tmp_path)
         data = json.loads(open(path).read())

@@ -9,15 +9,15 @@ from copulaboot import (
     QuantileConstraint,
     RngStream,
     cdf,
-    copula_transform,
     draw_dependent_samples,
     factor_correlation,
     fit_from_quantiles,
     quantile,
-    sample_latent,
     std_normal_cdf,
+    std_normal_quantile,
     validate_correlation_matrix,
 )
+from copulaboot.rng import _U_HIGH, _U_LOW
 
 Z_975 = 1.9599639845400545
 
@@ -38,6 +38,26 @@ def ks_distance(sample, fitted):
 def spearman_of_rho(rho):
     # closed-form Gaussian-copula rank correlation
     return (6.0 / math.pi) * math.asin(rho / 2.0)
+
+
+def rebuild_draws(marginals, sigma, n, seed):
+    """The sampler's stages recomputed from public pieces: latents z, draws x."""
+    d = len(marginals)
+    raw = np.clip(RngStream(seed).uniforms(n * d).reshape(n, d), _U_LOW, _U_HIGH)
+    z = std_normal_quantile(raw) @ factor_correlation(sigma).L.T
+    u = np.clip(std_normal_cdf(z), _U_LOW, _U_HIGH)
+    x = np.column_stack([quantile(m.spec, u[:, i]) for i, m in enumerate(marginals)])
+    return z, x
+
+
+@pytest.fixture
+def constant_uniforms(monkeypatch):
+    """Make every stream return the given constant as each uniform."""
+
+    def install(value):
+        monkeypatch.setattr(RngStream, "uniforms", lambda self, n: np.full(n, value))
+
+    return install
 
 
 @pytest.fixture(scope="module")
@@ -122,54 +142,54 @@ class TestFactor:
 
 
 class TestSampleLatent:
-    def test_identity_factor_passthrough(self):
-        f = factor_correlation(validate_correlation_matrix(np.eye(3)))
-        z = sample_latent(f, RngStream(123, 0))
-        g = RngStream(123, 0).normals(3)
-        assert np.array_equal(z, g)
+    """The latent stage of the sampler: z = L @ g, read from the stream."""
 
-    def test_determinism_and_advancement(self):
-        f = factor_correlation(validate_correlation_matrix(np.eye(3)))
-        rng = RngStream(123, 0)
-        first = sample_latent(f, rng)
-        second = sample_latent(f, rng)
+    def test_determinism_and_advancement(self, beta_marginals):
+        sigma = validate_correlation_matrix([[1, 0.5], [0.5, 1]])
+        rng = RngStream(123)
+        first = draw_dependent_samples(beta_marginals, sigma, 50, rng)
+        assert rng.counter == 100
+        second = draw_dependent_samples(beta_marginals, sigma, 50, rng)
         assert not np.array_equal(first, second)
-        again = sample_latent(f, RngStream(123, 0))
-        assert np.array_equal(first, again)
+        whole = draw_dependent_samples(beta_marginals, sigma, 100, RngStream(123))
+        assert np.array_equal(whole, np.vstack([first, second]))
 
-    def test_rank1_equal_components(self):
-        f = factor_correlation(validate_correlation_matrix([[1, 1], [1, 1]]))
-        z = sample_latent(f, RngStream(9, 0))
-        assert z[0] == z[1]
+    def test_rank1_equal_components(self, beta_marginals):
+        same = [beta_marginals[0], beta_marginals[0]]
+        sigma = validate_correlation_matrix([[1, 1], [1, 1]])
+        x = draw_dependent_samples(same, sigma, 1000, RngStream(9))
+        assert np.array_equal(x[:, 0], x[:, 1])
 
 
 class TestCopulaTransform:
-    def test_zero_latent_gives_medians(self, beta_marginals):
-        draw = copula_transform(np.zeros(2), beta_marginals)
-        assert np.all(draw.u == 0.5)
-        for x, m in zip(draw.x, beta_marginals):
-            assert x == pytest.approx(quantile(m.spec, 0.5), abs=1e-12)
+    """The transform stage of the sampler: u = Phi(z), x = Q(u)."""
+
+    def test_zero_latent_gives_medians(self, beta_marginals, constant_uniforms):
+        constant_uniforms(0.5)  # g = Phi^-1(1/2) = 0, so every latent is 0
+        sigma = validate_correlation_matrix([[1, 0.5], [0.5, 1]])
+        x = draw_dependent_samples(beta_marginals, sigma, 10, RngStream(1))
+        for i, m in enumerate(beta_marginals):
+            assert np.all(x[:, i] == quantile(m.spec, 0.5))
 
     def test_normal_round_trip(self):
         m = fit_from_quantiles("normal", QuantileConstraint(-Z_975, Z_975))
-        draw = copula_transform(np.array([Z_975]), [m])
-        assert draw.x[0] == pytest.approx(Z_975, abs=1e-9)
+        sigma = validate_correlation_matrix([[1, 0.5], [0.5, 1]])
+        x = draw_dependent_samples([m, m], sigma, 1000, RngStream(4))
+        z, _ = rebuild_draws([m, m], sigma, 1000, 4)
+        assert np.max(np.abs(x - z)) <= 1e-9
 
-    def test_extreme_latent_clamped(self, beta_marginals):
-        draw = copula_transform(np.array([-40.0, -40.0]), beta_marginals)
-        assert np.all(draw.x > 0.0)
-        assert np.all(np.isfinite(draw.x))
+    def test_extreme_latent_clamped(self, beta_marginals, constant_uniforms):
+        constant_uniforms(0.0)  # clamped to _U_LOW, the most extreme latent
+        sigma = validate_correlation_matrix([[1, 0.5], [0.5, 1]])
+        x = draw_dependent_samples(beta_marginals, sigma, 10, RngStream(1))
+        assert np.all(x > 0.0)
+        assert np.all(np.isfinite(x))
 
     def test_invariants(self, beta_marginals):
-        z = RngStream(5).normals(2)
-        draw = copula_transform(z, beta_marginals)
-        assert np.max(np.abs(draw.u - std_normal_cdf(draw.z))) <= 1e-12
-        for i, m in enumerate(beta_marginals):
-            assert draw.x[i] == pytest.approx(quantile(m.spec, draw.u[i]), abs=1e-12)
-
-    def test_length_mismatch(self, beta_marginals):
-        with pytest.raises(ValueError):
-            copula_transform(np.zeros(3), beta_marginals)
+        sigma = validate_correlation_matrix([[1, 0.5], [0.5, 1]])
+        x = draw_dependent_samples(beta_marginals, sigma, 1000, RngStream(5))
+        _, ref = rebuild_draws(beta_marginals, sigma, 1000, 5)
+        assert np.array_equal(x, ref)
 
 
 class TestDrawDependentSamples:
@@ -248,6 +268,10 @@ class TestDrawDependentSamples:
             draw_dependent_samples(
                 beta_marginals, validate_correlation_matrix(np.eye(3)), 10, RngStream(1)
             )
+        with pytest.raises(ValueError):
+            draw_dependent_samples(
+                beta_marginals + beta_marginals[:1], sigma, 10, RngStream(1)
+            )
 
 
 class TestRngStream:
@@ -256,13 +280,11 @@ class TestRngStream:
         for offset in (0, 1, 2, 3, 4, 37):
             tail = RngStream(123, 0, counter=offset).uniforms(100 - offset)
             assert np.array_equal(a[offset:], tail)
+        rng = RngStream(123, 0)
+        rng.uniforms(7)
+        assert rng.counter == 7
 
     def test_streams_differ(self):
         a = RngStream(123, 0).uniforms(50)
         b = RngStream(123, 1).uniforms(50)
         assert not np.array_equal(a, b)
-
-    def test_normals_consume_one_uniform_each(self):
-        rng = RngStream(5)
-        rng.normals(7)
-        assert rng.counter == 7

@@ -200,8 +200,7 @@ class TestRhoSweep:
 
 class TestScatterDraws:
     def test_marginals_preserved(self):
-        req = make_request(n=10_000)
-        draws = scatter_draws(req, rho=0.0, m=100_000)
+        draws = scatter_draws(SENS_CI, SPEC_CI, rho=0.0, m=100_000, seed=123)
         sens_fit = fit_from_quantiles("beta", QuantileConstraint(*SENS_CI))
         spec_fit = fit_from_quantiles("beta", QuantileConstraint(*SPEC_CI))
         for col, fit in ((0, sens_fit), (1, spec_fit)):
@@ -215,26 +214,22 @@ class TestScatterDraws:
             assert d < 0.006
 
     def test_independence_latent_correlation(self):
-        req = make_request(n=10_000)
-        draws = scatter_draws(req, rho=0.0, m=100_000)
+        draws = scatter_draws(SENS_CI, SPEC_CI, rho=0.0, m=100_000, seed=123)
         r = stats.spearmanr(draws[:, 0], draws[:, 1]).statistic
         assert r == pytest.approx(0.0, abs=0.01)
 
     def test_antithetic_coupling(self):
-        req = make_request(n=10_000)
-        draws = scatter_draws(req, rho=-1.0, m=5000)
+        draws = scatter_draws(SENS_CI, SPEC_CI, rho=-1.0, m=5000, seed=123)
         r0 = stats.rankdata(draws[:, 0])
         r1 = stats.rankdata(draws[:, 1])
         assert np.array_equal(r0, len(r0) + 1 - r1)  # ranks exactly reversed
 
     def test_negative_half_rank_correlation(self):
-        req = make_request(n=10_000)
-        draws = scatter_draws(req, rho=-0.5, m=100_000)
+        draws = scatter_draws(SENS_CI, SPEC_CI, rho=-0.5, m=100_000, seed=123)
         r = stats.spearmanr(draws[:, 0], draws[:, 1]).statistic
         expected = -(6.0 / math.pi) * math.asin(0.25)
         assert r == pytest.approx(expected, abs=0.01)
 
     def test_m_validation(self):
-        req = make_request(n=10_000)
         with pytest.raises(DomainError):
-            scatter_draws(req, rho=0.0, m=0)
+            scatter_draws(SENS_CI, SPEC_CI, rho=0.0, m=0, seed=123)
