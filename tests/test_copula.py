@@ -17,6 +17,7 @@ from copulaboot import (
     std_normal_quantile,
     validate_correlation_matrix,
 )
+from copulaboot.copula import _draw_uniform_block
 from copulaboot.rng import _U_HIGH, _U_LOW
 
 Z_975 = 1.9599639845400545
@@ -144,6 +145,12 @@ class TestFactor:
 class TestSampleLatent:
     """The latent stage of the sampler: z = L @ g, read from the stream."""
 
+    def test_identity_factor_passthrough(self):
+        f = factor_correlation(validate_correlation_matrix(np.eye(3)))
+        u = _draw_uniform_block(f, 100, 3, RngStream(123, 0))
+        raw = RngStream(123, 0).uniforms(300).reshape(100, 3)
+        assert np.array_equal(u, np.clip(raw, _U_LOW, _U_HIGH))
+
     def test_determinism_and_advancement(self, beta_marginals):
         sigma = validate_correlation_matrix([[1, 0.5], [0.5, 1]])
         rng = RngStream(123)
@@ -190,6 +197,13 @@ class TestCopulaTransform:
         x = draw_dependent_samples(beta_marginals, sigma, 1000, RngStream(5))
         _, ref = rebuild_draws(beta_marginals, sigma, 1000, 5)
         assert np.array_equal(x, ref)
+
+    def test_length_mismatch(self, beta_marginals):
+        sigma = validate_correlation_matrix(np.eye(2))
+        with pytest.raises(ValueError):
+            draw_dependent_samples(
+                beta_marginals + beta_marginals[:1], sigma, 10, RngStream(1)
+            )
 
 
 class TestDrawDependentSamples:
@@ -268,10 +282,6 @@ class TestDrawDependentSamples:
             draw_dependent_samples(
                 beta_marginals, validate_correlation_matrix(np.eye(3)), 10, RngStream(1)
             )
-        with pytest.raises(ValueError):
-            draw_dependent_samples(
-                beta_marginals + beta_marginals[:1], sigma, 10, RngStream(1)
-            )
 
 
 class TestRngStream:
@@ -288,3 +298,14 @@ class TestRngStream:
         a = RngStream(123, 0).uniforms(50)
         b = RngStream(123, 1).uniforms(50)
         assert not np.array_equal(a, b)
+
+    def test_normals_consume_one_uniform_each(self, beta_marginals):
+        # each latent normal is read from exactly one stream uniform
+        for marginals, sigma in (
+            (beta_marginals[:1], [[1.0]]),
+            (beta_marginals, [[1, 0.5], [0.5, 1]]),
+        ):
+            rng = RngStream(5)
+            sigma = validate_correlation_matrix(sigma)
+            draw_dependent_samples(marginals, sigma, 7, rng)
+            assert rng.counter == 7 * len(marginals)
