@@ -63,7 +63,7 @@ class UsageError(Exception):
     """Invalid command-line input; maps to exit code 2."""
 
 
-def _parse_dist(text: str):
+def _fit_dist(text: str):
     parts = text.split(":")
     if len(parts) not in (3, 5):
         raise UsageError(
@@ -74,9 +74,8 @@ def _parse_dist(text: str):
         nums = [float(p) for p in parts[1:]]
     except ValueError as exc:
         raise UsageError(f"--dist {text!r}: {exc}") from None
-    try:
-        constraint = QuantileConstraint(*nums)
-        return family, constraint
+    try:  # an unknown family or quantiles off its support are usage errors
+        return fit_from_quantiles(family, QuantileConstraint(*nums))
     except DomainError as exc:
         raise UsageError(f"--dist {text!r}: {exc}") from None
 
@@ -201,10 +200,7 @@ def _cmd_combine(args) -> int:
         raise UsageError("at least one --dist is required")
     if (args.expr is None) == (args.combiner is None):
         raise UsageError("exactly one of --expr or --combiner is required")
-    parsed = [_parse_dist(d) for d in args.dist]
-    marginals = []
-    for family, constraint in parsed:
-        marginals.append(fit_from_quantiles(family, constraint))
+    marginals = [_fit_dist(text) for text in args.dist]
     d = len(marginals)
     if args.sigma is not None:
         sigma = _parse_sigma(args.sigma)

@@ -128,17 +128,20 @@ def factor_correlation(sigma: CorrelationMatrix) -> CorrelationFactor:
     return CorrelationFactor(L=L, rank=rank)
 
 
-def _is_identity(L: np.ndarray) -> bool:
-    return np.array_equal(L, np.eye(L.shape[0]))
-
-
 def _draw_uniform_block(
     factor: CorrelationFactor, n: int, d: int, rng: RngStream
 ) -> np.ndarray:
     """The n x d copula uniforms for draws consuming positions [c, c + n*d)."""
     raw = rng.uniforms(n * d).reshape(n, d)
-    if _is_identity(factor.L):
+    if np.array_equal(factor.L, np.eye(d)):
         return np.clip(raw, _U_LOW, _U_HIGH)
     g = std_normal_quantile(np.clip(raw, _U_LOW, _U_HIGH))
-    z = g @ factor.L.T
-    return np.clip(std_normal_cdf(z), _U_LOW, _U_HIGH)
+    # z = g @ L.T added term by term in a fixed order (L is lower-triangular):
+    # BLAS rounds a one-row product unlike a taller one, and a draw must not
+    # depend on the chunk that holds it
+    z = np.empty((d, n))
+    for i in range(d):
+        z[i] = g[:, 0] * factor.L[i, 0]
+        for j in range(1, i + 1):
+            z[i] += g[:, j] * factor.L[i, j]
+    return np.clip(std_normal_cdf(z.T), _U_LOW, _U_HIGH)

@@ -13,7 +13,7 @@ class FitError(CopulabootError):
     """Quantile fitting failed to converge to the required tolerance.
 
     Carries the best residual found so callers can report how close the
-    optimizer got.
+    fit got; ``best_residual`` is ``None`` when no root bracket exists.
     """
 
     def __init__(self, message, best_residual=None):

@@ -1,19 +1,19 @@
 """Fit marginal distribution parameters to a reported confidence interval.
 
 Given two quantile constraints (typically the 2.5% and 97.5% points of a
-reported 95% CI), recover the parameters of a chosen family. The objective
-is least squares on the probability scale: bounded, scale-free, and avoids
-calling the inverse CDF inside the optimizer loop.
+reported 95% CI), recover the parameters of a chosen family. Each family
+has one deterministic method: a closed form for the normal, bracketed
+root-finding (Brent's method) on log parameters for the gamma and the beta,
+and a 1-D least-squares fit on the probability scale for the exponential.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-from scipy import optimize
+from scipy import optimize, special
 
 from .distributions import DistributionSpec, Family, cdf, std_normal_quantile
 from .errors import DomainError, FitError
@@ -27,9 +27,6 @@ __all__ = [
 
 # two-parameter families must meet both constraints to this tolerance
 FIT_TOL = 1e-6
-
-_MAX_ITER = 500
-_N_RESTARTS = 5
 
 
 @dataclass(frozen=True)
@@ -86,18 +83,27 @@ def _check_support(family: Family, c: QuantileConstraint):
         )
 
 
-def _initial_params(family: Family, c: QuantileConstraint) -> tuple[float, ...]:
-    # moment-matching starting points; the (0.025, 0.975) CI spans ~3.92 sd
+def _moment_start(c: QuantileConstraint) -> tuple[float, float]:
+    # moment match: mean and mean/sd, as a (0.025, 0.975) CI spans ~3.92 sd
     m = 0.5 * (c.q_low + c.q_upp)
-    sd = (c.q_upp - c.q_low) / 3.92
-    if family is Family.BETA:
-        common = m * (1.0 - m) / (sd * sd) - 1.0
-        if common <= 0.0:
-            common = 1e-3
-        return (max(m * common, 1e-6), max((1.0 - m) * common, 1e-6))
-    if family is Family.GAMMA:
-        return ((m / sd) ** 2, m / (sd * sd))
-    raise AssertionError(family)
+    return m, 3.92 * m / (c.q_upp - c.q_low)
+
+
+def _log_root(f, x0: float, what: str) -> float:
+    """Root of ``f`` over a log parameter, by Brent's method.
+
+    The bracket [x0 - 1, x0 + 1] widens by a doubling step on each side until
+    ``f`` changes sign; a NaN from ``f`` or |log| past 700 raises FitError.
+    """
+    lo, hi, step = x0 - 1.0, x0 + 1.0, 2.0
+    while abs(lo) < 700.0 and abs(hi) < 700.0:
+        f_lo, f_hi = f(lo), f(hi)
+        if math.isnan(f_lo) or math.isnan(f_hi):
+            raise FitError(f"root function is NaN while bracketing the {what}")
+        if f_lo * f_hi <= 0.0:
+            return optimize.brentq(f, lo, hi, xtol=1e-15)
+        lo, hi, step = lo - step, hi + step, 2.0 * step
+    raise FitError(f"no bracket for the {what} with its log inside (-700, 700)")
 
 
 def _fit_normal(c: QuantileConstraint) -> DistributionSpec:
@@ -111,55 +117,51 @@ def _fit_normal(c: QuantileConstraint) -> DistributionSpec:
 
 def _fit_exponential(c: QuantileConstraint) -> DistributionSpec:
     # one parameter, two constraints: least squares over log(rate)
-    rate0 = -math.log1p(-c.alpha_upp) / c.q_upp
+    t0 = math.log(-math.log1p(-c.alpha_upp) / c.q_upp)
 
-    def objective(theta):
-        spec = DistributionSpec(Family.EXPONENTIAL, (math.exp(theta[0]),))
+    def objective(t):
+        spec = DistributionSpec(Family.EXPONENTIAL, (math.exp(t),))
         return fit_residual(spec, c) ** 2
 
-    best = None
-    for scale in (1.0, 0.5, 2.0, 0.25, 4.0):
-        res = optimize.minimize(
-            objective,
-            [math.log(rate0 * scale)],
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-24, "maxiter": _MAX_ITER},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    return DistributionSpec(Family.EXPONENTIAL, (math.exp(best.x[0]),))
+    res = optimize.minimize_scalar(objective, bracket=(t0 - 1.0, t0 + 1.0))
+    return DistributionSpec(Family.EXPONENTIAL, (math.exp(res.x),))
 
 
-def _fit_two_param(family: Family, c: QuantileConstraint) -> DistributionSpec:
-    p0 = _initial_params(family, c)
-    theta0 = np.log(p0)
+def _fit_gamma(c: QuantileConstraint) -> DistributionSpec:
+    # gamma is a scale family: gammaincinv(k, a_upp) / gammaincinv(k, a_low)
+    # depends on the shape k alone and falls from inf to 1 as k grows
+    target = math.log(c.q_upp) - math.log(c.q_low)
 
-    def objective(theta):
-        if np.any(theta > 500.0):  # overflow guard on exp
-            return 4.0
-        spec = DistributionSpec(family, tuple(np.exp(theta)))
-        r_low = cdf(spec, c.q_low) - c.alpha_low
-        r_upp = cdf(spec, c.q_upp) - c.alpha_upp
-        return r_low * r_low + r_upp * r_upp
+    def log_ratio_gap(t):
+        upp, low = special.gammaincinv(math.exp(t), (c.alpha_upp, c.alpha_low))
+        return math.log(upp) - math.log(low) - target if low > 0.0 else math.inf
 
-    # deterministic restart perturbations
-    perturb = np.array(
-        [[0.0, 0.0], [0.3, -0.3], [-0.3, 0.3], [0.7, 0.7], [-0.7, -0.7], [1.5, 0.0]]
-    )
-    best = None
-    for k in range(_N_RESTARTS + 1):
-        res = optimize.minimize(
-            objective,
-            theta0 + perturb[k],
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-28, "maxiter": _MAX_ITER},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-        if math.sqrt(best.fun) <= FIT_TOL / 10.0:
-            break
-    spec = DistributionSpec(family, tuple(np.exp(best.x)))
-    return spec
+    _, z = _moment_start(c)
+    shape = math.exp(_log_root(log_ratio_gap, 2.0 * math.log(z), "gamma shape"))
+    rate = float(special.gammaincinv(shape, c.alpha_low)) / c.q_low
+    if not 0.0 < rate < math.inf:
+        raise FitError(f"gamma rate {rate} is not a positive finite number")
+    return DistributionSpec(Family.GAMMA, (shape, rate))
+
+
+def _fit_beta(c: QuantileConstraint) -> DistributionSpec:
+    # nested monotone solve: cdf(q_upp; a, b) rises in b, so b(a) is one
+    # inner root; the outer root in a matches cdf(q_low; a, b(a)) = a_low
+    m, z = _moment_start(c)
+    log_a0 = math.log(max(z * z * (1.0 - m) - m, 1e-3 * m))
+    log_odds = math.log1p(-m) - math.log(m)
+
+    def b_of(t):
+        def upp_gap(s):
+            return special.betainc(math.exp(t), math.exp(s), c.q_upp) - c.alpha_upp
+
+        return math.exp(_log_root(upp_gap, t + log_odds, "beta parameter b"))
+
+    def low_gap(t):
+        return special.betainc(math.exp(t), b_of(t), c.q_low) - c.alpha_low
+
+    log_a = _log_root(low_gap, log_a0, "beta parameter a")
+    return DistributionSpec(Family.BETA, (math.exp(log_a), b_of(log_a)))
 
 
 def fit_from_quantiles(
@@ -168,7 +170,8 @@ def fit_from_quantiles(
     """Fit a distribution of the given family to a quantile constraint.
 
     Two-parameter families must reproduce both constraints to within
-    ``FIT_TOL`` on the probability scale or a :class:`FitError` is raised.
+    ``FIT_TOL`` on the probability scale or a :class:`FitError` is raised;
+    its ``best_residual`` is ``None`` when no root bracket exists.
     The exponential (one parameter, two constraints) returns the
     least-squares optimum and reports the combined residual; a warning is
     emitted when that residual exceeds 1e-3.
@@ -176,12 +179,9 @@ def fit_from_quantiles(
     family = Family.from_name(family) if isinstance(family, str) else family
     _check_support(family, constraint)
 
-    if family is Family.NORMAL:
-        spec = _fit_normal(constraint)
-    elif family is Family.EXPONENTIAL:
-        spec = _fit_exponential(constraint)
-    else:
-        spec = _fit_two_param(family, constraint)
+    fitters = {Family.NORMAL: _fit_normal, Family.EXPONENTIAL: _fit_exponential,
+               Family.GAMMA: _fit_gamma, Family.BETA: _fit_beta}
+    spec = fitters[family](constraint)
 
     residual = fit_residual(spec, constraint)
     if family is Family.EXPONENTIAL:

@@ -53,6 +53,19 @@ class TestCombine:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("dist", ["foo:0.1:0.2", "beta:0.5:1.2"])
+    def test_invalid_dist_exits_2(self, dist, capsys):
+        # an unknown family or quantiles off the support are usage errors
+        assert main(["combine", "--dist", dist, "--expr", "x1"]) == 2
+        assert repr(dist) in capsys.readouterr().err
+
+    def test_tiny_gamma_quantiles_fit(self, capsys):
+        code, _ = run_cli(
+            ["combine", "--dist", "gamma:1e-200:1e-199", "--expr", "x1", "--n", "1000"],
+            capsys,
+        )
+        assert code == 0
+
     def test_byte_identical_output(self, capsys):
         _, first = run_cli(HDV_ARGS, capsys)
         _, second = run_cli(HDV_ARGS, capsys)

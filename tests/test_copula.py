@@ -45,7 +45,12 @@ def rebuild_draws(marginals, sigma, n, seed):
     """The sampler's stages recomputed from public pieces: latents z, draws x."""
     d = len(marginals)
     raw = np.clip(RngStream(seed).uniforms(n * d).reshape(n, d), _U_LOW, _U_HIGH)
-    z = std_normal_quantile(raw) @ factor_correlation(sigma).L.T
+    g, L = std_normal_quantile(raw), factor_correlation(sigma).L
+    # z[r, i] = sum over j of g[r, j] * L[i, j], added in order of j
+    z = np.array(
+        [[sum(float(g[r, j]) * L[i, j] for j in range(d)) for i in range(d)]
+         for r in range(n)]
+    )
     u = np.clip(std_normal_cdf(z), _U_LOW, _U_HIGH)
     x = np.column_stack([quantile(m.spec, u[:, i]) for i, m in enumerate(marginals)])
     return z, x
@@ -273,6 +278,12 @@ class TestDrawDependentSamples:
             beta_marginals, sigma, 400, RngStream(21).at(600 * 2)
         )
         assert np.array_equal(whole, np.vstack([first, second]))
+        # one-draw blocks round exactly like the rows of a taller block
+        singles = [
+            draw_dependent_samples(beta_marginals, sigma, 1, RngStream(21).at(2 * i))
+            for i in range(200)
+        ]
+        assert np.array_equal(whole[:200], np.vstack(singles))
 
     def test_n_and_dimension_validation(self, beta_marginals):
         sigma = validate_correlation_matrix(np.eye(2))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copulaboot import (
     BootstrapConfig,
@@ -163,6 +165,27 @@ class TestBootComb:
         many = BootstrapConfig(n=50_000, seed=9, chunk_size=4096, threads=8)
         a = boot_comb(hdv_marginals, sigma, Combiner.product(2), one)
         b = boot_comb(hdv_marginals, sigma, Combiner.product(2), many)
+        assert (a.low, a.upp, a.point_estimate) == (b.low, b.upp, b.point_estimate)
+
+    @settings(max_examples=25)
+    @given(
+        chunk_size=st.integers(1, 2500),
+        threads=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+        rho=st.floats(-0.9, 0.9),
+        method=st.sampled_from(["percentile", "hdi"]),
+    )
+    def test_scheduling_invariance(
+        self, hdv_marginals, chunk_size, threads, seed, rho, method
+    ):
+        # the interval is a function of the seed and inputs, not of the schedule
+        sigma = validate_correlation_matrix([[1, rho], [rho, 1]])
+        ref = BootstrapConfig(n=2000, seed=seed, method=method)
+        other = BootstrapConfig(
+            n=2000, seed=seed, method=method, chunk_size=chunk_size, threads=threads
+        )
+        a = boot_comb(hdv_marginals, sigma, Combiner.product(2), ref)
+        b = boot_comb(hdv_marginals, sigma, Combiner.product(2), other)
         assert (a.low, a.upp, a.point_estimate) == (b.low, b.upp, b.point_estimate)
 
     def test_independent_runs_same_distribution(self, hdv_marginals):

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from copulaboot import (
     EvalError,
@@ -74,6 +76,24 @@ class TestParse:
     def test_unparse_round_trip(self, text):
         ast = parse_expression(text)
         assert parse_expression(unparse(ast)) == ast
+
+
+# trees the parser can produce: literals are finite and non-negative (a
+# minus sign parses as Unary), and calls have their function's arity
+_TREES = st.recursive(
+    st.floats(min_value=0.0, allow_infinity=False).map(Num)
+    | st.from_regex(r"[a-zA-Z][a-zA-Z0-9_]{0,4}", fullmatch=True).map(Var),
+    lambda sub: st.builds(Unary, st.just("-"), sub)
+    | st.builds(Binary, st.sampled_from("+-*/^"), sub, sub)
+    | st.builds(Call, st.sampled_from(["log", "exp", "sqrt"]), st.tuples(sub))
+    | st.builds(Call, st.sampled_from(["min", "max"]), st.tuples(sub, sub)),
+    max_leaves=12,
+)
+
+
+@given(_TREES)
+def test_unparse_round_trip_generated(ast):
+    assert parse_expression(unparse(ast)) == ast
 
 
 # each fixture pairs a bare expression with its fully parenthesized oracle

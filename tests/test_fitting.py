@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import special
 
 from copulaboot import (
     DistributionSpec,
     DomainError,
     Family,
+    FitError,
     QuantileConstraint,
     cdf,
     fit_from_quantiles,
@@ -14,6 +18,7 @@ from copulaboot import (
     quantile,
     std_normal_quantile,
 )
+from copulaboot.fitting import FIT_TOL
 
 Z_975 = 1.9599639845400545
 
@@ -139,3 +144,61 @@ def test_self_consistency_200_random_specs(family):
         if family is not Family.EXPONENTIAL:
             for got, want in zip(fit.spec.params, spec.params):
                 assert got == pytest.approx(want, rel=1e-4)
+
+
+def _beta_ci(a, b):
+    spec = DistributionSpec(Family.BETA, (a, b))
+    return quantile(spec, 0.025), quantile(spec, 0.975)
+
+
+@pytest.mark.parametrize(
+    "family, q_low, q_upp, expected",
+    [
+        # a solution exists: fit within FIT_TOL (no moment-start underflow)
+        ("gamma", 1e-6, 1e6, None),
+        ("gamma", 1e-200, 1e-199, None),
+        # solutions beyond double-precision cdfs: a FitError, never a DomainError
+        ("gamma", 1e-300, 1e300, FitError),
+        ("beta", 0.5, 0.5 + 1e-15, FitError),
+        # extreme beta parameters round-trip through their own quantiles
+        ("beta", *_beta_ci(0.19, 2.47), (0.19, 2.47)),
+        ("beta", *_beta_ci(32.0, 2.2e7), (32.0, 2.2e7)),
+        ("beta", *_beta_ci(4.8e7, 4.8e7), (4.8e7, 4.8e7)),
+    ],
+)
+def test_extreme_constraints(family, q_low, q_upp, expected):
+    c = QuantileConstraint(q_low, q_upp)
+    if expected is FitError:
+        with pytest.raises(FitError):
+            fit_from_quantiles(family, c)
+        return
+    fit = fit_from_quantiles(family, c)
+    assert fit.residual <= FIT_TOL
+    if expected is not None:
+        assert fit.spec.params == pytest.approx(expected, rel=1e-6)
+
+
+@st.composite
+def _feasible_cases(draw):
+    # the declared domain; the alphas cover 60% to 99.8% intervals
+    alphas = draw(st.floats(0.001, 0.2)), draw(st.floats(0.8, 0.999))
+    family = draw(st.sampled_from(["beta", "gamma"]))
+    if family == "beta":  # logit centre and log half-width
+        centre, log_half = draw(st.floats(-12.0, 12.0)), draw(st.floats(-8.0, 2.0))
+        half = math.exp(log_half)
+        q_low, q_upp = special.expit(centre - half), special.expit(centre + half)
+    else:  # log q_low and log log(q_upp / q_low)
+        log_low, log_width = draw(st.floats(-30.0, 30.0)), draw(st.floats(-6.0, 3.0))
+        q_low, q_upp = math.exp(log_low), math.exp(log_low + math.exp(log_width))
+    return family, QuantileConstraint(float(q_low), float(q_upp), *alphas)
+
+
+@given(_feasible_cases())
+def test_fit_or_named_failure(case):
+    # any exception other than FitError, or a NaN residual, fails
+    family, c = case
+    try:
+        fit = fit_from_quantiles(family, c)
+    except FitError:
+        return
+    assert fit.residual <= FIT_TOL

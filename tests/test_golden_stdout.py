@@ -6,9 +6,14 @@ so several chunks are drawn by more than one worker; ``scatter`` draws its
 sample in one call and takes only ``--seed``. Any change that moves a
 single bit of an interval, point estimate or draw shows up here.
 
-ROADMAP item 3 (the tabulated inverse-CDF kernel) changes draws within a
-stated tolerance; it will re-capture these files under that tolerance.
-To re-capture them, run ``PYTHONPATH=src python tests/test_golden_stdout.py``.
+A change that moves fitted parameters or draws in the last bits re-captures
+these files, but only after checking the new stdout numerically against the
+old files under a tolerance stated beforehand: identical keys, key order
+and non-numeric text, every number within the stated relative tolerance,
+no fit residual larger than before. The bracketed-root fitter did so at
+1e-12 relative (see CHANGES.md); ROADMAP item 3, the tabulated inverse-CDF
+kernel, will do so under its own tolerance. To re-capture them, run
+``PYTHONPATH=src python tests/test_golden_stdout.py``.
 """
 
 import contextlib
