@@ -24,7 +24,13 @@ from . import __version__
 from .copula import CorrelationMatrix, validate_correlation_matrix
 from .coverage import CoverageScenario, run_coverage
 from .engine import BootstrapConfig, Combiner, CombinedEstimate, boot_comb
-from .errors import CopulabootError, DomainError, InvalidCorrelationError, ParseError
+from .errors import (
+    CopulabootError,
+    DomainError,
+    FitError,
+    InvalidCorrelationError,
+    ParseError,
+)
 from .fitting import QuantileConstraint, fit_from_quantiles
 from .prevalence import (
     PrevAdjustRequest,
@@ -78,6 +84,8 @@ def _fit_dist(text: str):
         return fit_from_quantiles(family, QuantileConstraint(*nums))
     except DomainError as exc:
         raise UsageError(f"--dist {text!r}: {exc}") from None
+    except FitError as exc:
+        raise FitError(f"--dist {text!r}: {exc}", exc.best_residual) from None
 
 
 def _parse_sigma(text: str) -> CorrelationMatrix:

@@ -94,14 +94,17 @@ class CombinedEstimate:
 
 
 def _rogan_gladen_raw(x: np.ndarray) -> np.ndarray:
-    """Untruncated Rogan-Gladen (prev + spec - 1)/(sens + spec - 1) per draw.
+    """Untruncated Rogan-Gladen (prev + (spec - 1))/(sens + (spec - 1)) per draw.
 
-    Columns are (prev, sens, spec). The operation order matches the parsed
-    expression min(max((prev+spec-1)/(sens+spec-1),0),1), so the builtin
-    and expression routes are bit-identical.
+    Columns are (prev, sens, spec). Subtracting 1 from spec first (exact
+    for spec >= 1/2) is the more accurate order; it is that of the scalar
+    ``prevalence.rogan_gladen`` and of the parsed expression
+    (prev+(spec-1))/(sens+(spec-1)), so the builtin and expression routes
+    are bit-identical.
     """
     with np.errstate(all="ignore"):
-        return ((x[:, 0] + x[:, 2]) - 1.0) / ((x[:, 1] + x[:, 2]) - 1.0)
+        spec_m1 = x[:, 2] - 1.0
+        return (x[:, 0] + spec_m1) / (x[:, 1] + spec_m1)
 
 
 class Combiner:

@@ -117,7 +117,10 @@ def _fit_normal(c: QuantileConstraint) -> DistributionSpec:
 
 def _fit_exponential(c: QuantileConstraint) -> DistributionSpec:
     # one parameter, two constraints: least squares over log(rate)
-    t0 = math.log(-math.log1p(-c.alpha_upp) / c.q_upp)
+    rate0 = -math.log1p(-c.alpha_upp) / c.q_upp
+    if rate0 == math.inf:
+        raise FitError(f"exponential start rate overflows for qUpp={c.q_upp}")
+    t0 = math.log(rate0)
 
     def objective(t):
         spec = DistributionSpec(Family.EXPONENTIAL, (math.exp(t),))

@@ -59,6 +59,13 @@ class TestCombine:
         assert main(["combine", "--dist", dist, "--expr", "x1"]) == 2
         assert repr(dist) in capsys.readouterr().err
 
+    def test_fit_error_names_its_dist(self, capsys):
+        # several --dist flags: the failing one is named, and a FitError exits 3
+        bad = "beta:0.5:0.500000000000001"
+        argv = ["combine", "--dist", "beta:0.027:0.05", "--dist", bad, "--expr", "x1*x2"]
+        assert main(argv) == 3
+        assert repr(bad) in capsys.readouterr().err
+
     def test_tiny_gamma_quantiles_fit(self, capsys):
         code, _ = run_cli(
             ["combine", "--dist", "gamma:1e-200:1e-199", "--expr", "x1", "--n", "1000"],

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from copulaboot import (
     DistributionSpec,
@@ -219,3 +219,65 @@ def test_pdf_integrates_to_one(spec):
         hi = quantile(spec, 1.0 - 1e-13)
     total, _ = integrate.quad(lambda x: pdf(spec, x), lo, hi, limit=200)
     assert 1.0 - 1e-6 <= total <= 1.0 + 1e-6
+
+
+def _two_sided_inverse(spec, z):
+    """Exact x = Q(Phi(z)) and min(x, 1 - x) (beta) or x (gamma).
+
+    Each tail is inverted at its own mass Phi(-|z|), so x and 1 - x both
+    keep full relative precision.
+    """
+    q = special.ndtr(-np.abs(z))
+    left = z <= 0.0
+    x, near = np.empty_like(z), np.empty_like(z)
+    a, b = spec.params
+    if spec.family is Family.BETA:
+        x[left] = special.betaincinv(a, b, q[left])
+        x[~left] = special.betainccinv(a, b, q[~left])
+        near[left] = special.betainccinv(b, a, q[left])
+        near[~left] = special.betaincinv(b, a, q[~left])
+        return x, np.minimum(x, near)
+    x[left] = special.gammaincinv(a, q[left])
+    x[~left] = special.gammainccinv(a, q[~left])
+    return x / b, x / b
+
+
+def _exact_quantile(spec, p):
+    a, b = spec.params
+    if spec.family is Family.BETA:
+        return special.betaincinv(a, b, p)
+    return special.gammaincinv(a, p) / b
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DistributionSpec(Family.BETA, params)
+        for params in [
+            (39.4, 1008), (4.8e7, 4.8e7), (0.19, 2.47), (32, 2.2e7),
+            (2, 2), (0.5, 0.5), (0.05, 0.05),
+        ]
+    ]
+    + [DistributionSpec(Family.GAMMA, (shape, 2.5)) for shape in (1e-3, 0.1, 3, 1e3, 1e6)],
+    ids=lambda s: f"{s.family.value}{s.params}",
+)
+def test_tabulated_quantile_accuracy(spec):
+    # the bound stated in the quantile docstring, over random latent z and a
+    # sweep of the whole reachable range [ndtri(2^-53), -ndtri(2^-53)]
+    z = np.concatenate([
+        np.random.default_rng(6).standard_normal(200_000),
+        np.linspace(-8.2095, 8.2095, 20_001),
+    ])
+    p = np.sort(special.ndtr(z))
+    x_hat = quantile(spec, p)
+    exact = _exact_quantile(spec, p)
+    x, near = _two_sided_inverse(spec, special.ndtri(p))
+    within = np.abs(x_hat - x) <= 1e-9 * near + np.spacing(x)
+    # outside the bound only where the exact kernel itself was used
+    assert np.all(within | (x_hat == exact))
+    saturated = (exact == 0.0) | (exact == 1.0)
+    assert np.array_equal(x_hat[saturated], exact[saturated])
+    # non-decreasing in p, except where the exact kernel itself decreases
+    assert np.all((np.diff(x_hat) >= 0) | (np.diff(exact) < 0))
+    # the clamp of u = 0 lies far outside the table
+    assert quantile(spec, 1e-300) == _exact_quantile(spec, 1e-300)

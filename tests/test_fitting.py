@@ -147,8 +147,9 @@ def test_self_consistency_200_random_specs(family):
 
 
 def _beta_ci(a, b):
-    spec = DistributionSpec(Family.BETA, (a, b))
-    return quantile(spec, 0.025), quantile(spec, 0.975)
+    # the exact inverse, not the tabulated quantile: the constraint is built
+    # from the true 2.5% and 97.5% points
+    return tuple(special.betaincinv(a, b, [0.025, 0.975]).tolist())
 
 
 @pytest.mark.parametrize(
@@ -164,6 +165,8 @@ def _beta_ci(a, b):
         ("beta", *_beta_ci(0.19, 2.47), (0.19, 2.47)),
         ("beta", *_beta_ci(32.0, 2.2e7), (32.0, 2.2e7)),
         ("beta", *_beta_ci(4.8e7, 4.8e7), (4.8e7, 4.8e7)),
+        # a denormal qUpp overflows the exponential start rate
+        ("exponential", 1e-320, 1e-319, FitError),
     ],
 )
 def test_extreme_constraints(family, q_low, q_upp, expected):

@@ -11,8 +11,12 @@ these files, but only after checking the new stdout numerically against the
 old files under a tolerance stated beforehand: identical keys, key order
 and non-numeric text, every number within the stated relative tolerance,
 no fit residual larger than before. The bracketed-root fitter did so at
-1e-12 relative (see CHANGES.md); ROADMAP item 3, the tabulated inverse-CDF
-kernel, will do so under its own tolerance. To re-capture them, run
+1e-12 relative (see CHANGES.md). ROADMAP item 1, the tabulated inverse-CDF
+kernel, did so together with the Rogan-Gladen operation order under this
+tolerance: identical keys, key order, non-numeric text and integers;
+byte-identical fit residuals; every full-precision number within 1e-10
+relative; every 10-significant-digit ``sweep_4_rows`` cell within one unit
+in its last digit. To re-capture them, run
 ``PYTHONPATH=src python tests/test_golden_stdout.py``.
 """
 

@@ -145,7 +145,7 @@ class TestAdjustPrevalence:
             marginals,
             req.sigma,
             Combiner.from_expression(
-                "(prev+spec-1)/(sens+spec-1)", names=["prev", "sens", "spec"]
+                "(prev+(spec-1))/(sens+(spec-1))", names=["prev", "sens", "spec"]
             ),
             req.config,
             valid_range=(0.0, 1.0),
