@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import logging
+import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -132,9 +133,16 @@ def _add_common_config(p: argparse.ArgumentParser):
     )
 
 
-def _make_config(args, return_boot_vals=False) -> BootstrapConfig:
-    import os
+def _add_prev_args(p: argparse.ArgumentParser):
+    p.add_argument("--prev-ci", required=True, metavar="L,U")
+    p.add_argument("--sens-ci", required=True, metavar="L,U")
+    p.add_argument("--spec-ci", required=True, metavar="L,U")
+    p.add_argument("--prev", type=float, help="apparent prevalence point estimate")
+    p.add_argument("--sens", type=float, help="sensitivity point estimate")
+    p.add_argument("--spec", type=float, help="specificity point estimate")
 
+
+def _make_config(args, return_boot_vals=False) -> BootstrapConfig:
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
     try:
         return BootstrapConfig(
@@ -349,20 +357,18 @@ def _cmd_scatter(args) -> int:
     return 0
 
 
-def _scenario_field(data: dict, path: str, typ):
-    cur = data
-    for part in path.split("."):
-        if not isinstance(cur, dict) or part not in cur:
-            raise UsageError(f"scenario file: missing field {path!r}")
-        cur = cur[part]
-    if typ is float and isinstance(cur, int):
-        cur = float(cur)
-    if not isinstance(cur, typ):
+def _scenario_field(data: dict, name: str, typ):
+    if not isinstance(data, dict) or name not in data:
+        raise UsageError(f"scenario file: missing field {name!r}")
+    value = data[name]
+    if typ is float and isinstance(value, int):
+        value = float(value)
+    if not isinstance(value, typ):
         raise UsageError(
-            f"scenario file: field {path!r} must be {typ.__name__}, "
-            f"got {type(cur).__name__}"
+            f"scenario file: field {name!r} must be {typ.__name__}, "
+            f"got {type(value).__name__}"
         )
-    return cur
+    return value
 
 
 def _load_scenario(path: str, args) -> CoverageScenario:
@@ -487,12 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "adjust-prev", help="adjust a prevalence for test sensitivity/specificity"
     )
-    p.add_argument("--prev-ci", required=True, metavar="L,U")
-    p.add_argument("--sens-ci", required=True, metavar="L,U")
-    p.add_argument("--spec-ci", required=True, metavar="L,U")
-    p.add_argument("--prev", type=float, help="apparent prevalence point estimate")
-    p.add_argument("--sens", type=float, help="sensitivity point estimate")
-    p.add_argument("--spec", type=float, help="specificity point estimate")
+    _add_prev_args(p)
     p.add_argument(
         "--rho-sens-spec",
         type=float,
@@ -506,12 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep", help="interval width as a function of sens/spec correlation"
     )
-    p.add_argument("--prev-ci", required=True, metavar="L,U")
-    p.add_argument("--sens-ci", required=True, metavar="L,U")
-    p.add_argument("--spec-ci", required=True, metavar="L,U")
-    p.add_argument("--prev", type=float)
-    p.add_argument("--sens", type=float)
-    p.add_argument("--spec", type=float)
+    _add_prev_args(p)
     p.add_argument("--rho-from", type=float, required=True)
     p.add_argument("--rho-to", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)

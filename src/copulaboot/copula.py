@@ -55,24 +55,19 @@ class CorrelationFactor:
     rank: int
 
 
-def validate_correlation_matrix(
-    raw, symmetrize: bool = False
-) -> CorrelationMatrix:
+def validate_correlation_matrix(raw) -> CorrelationMatrix:
     """Validate a candidate correlation matrix.
 
-    Checks, in order: squareness, finiteness, symmetry (averaged when
-    ``symmetrize``), exact unit diagonal, off-diagonals in [-1, 1], and
-    positive semi-definiteness (min eigenvalue >= -1e-10). The error names
-    the first violated invariant.
+    Checks, in order: squareness, finiteness, exact symmetry, exact unit
+    diagonal, off-diagonals in [-1, 1], and positive semi-definiteness (min
+    eigenvalue >= -1e-10). The error names the first violated invariant.
     """
     m = np.array(raw, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidCorrelationError(f"matrix must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidCorrelationError("matrix has non-finite entries")
-    if symmetrize:
-        m = 0.5 * (m + m.T)
-    elif not np.array_equal(m, m.T):
+    if not np.array_equal(m, m.T):
         i, j = np.argwhere(m != m.T)[0]
         raise InvalidCorrelationError(
             f"matrix is not symmetric: entry ({i},{j})={m[i, j]!r} "

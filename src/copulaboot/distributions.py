@@ -1,6 +1,6 @@
 """Continuous univariate distribution kernels.
 
-CDF, PDF and quantile (inverse CDF) for the supported marginal families,
+CDF and quantile (inverse CDF) for the supported marginal families,
 plus the standard normal CDF and its inverse. All functions accept scalars
 or numpy arrays and are pure, so they are safe for concurrent use.
 
@@ -30,7 +30,6 @@ __all__ = [
     "Family",
     "DistributionSpec",
     "cdf",
-    "pdf",
     "quantile",
     "std_normal_cdf",
     "std_normal_quantile",
@@ -113,14 +112,6 @@ class DistributionSpec:
         if family is Family.EXPONENTIAL and params[0] <= 0:
             raise DomainError(f"exponential requires rate>0, got rate={params[0]}")
 
-    @property
-    def support(self) -> tuple[float, float]:
-        if self.family is Family.BETA:
-            return (0.0, 1.0)
-        if self.family is Family.NORMAL:
-            return (-math.inf, math.inf)
-        return (0.0, math.inf)
-
     @cached_property
     def _inverse_table(self):
         return _build_inverse_table(self)
@@ -148,42 +139,6 @@ def cdf(spec: DistributionSpec, x):
         out = np.where(xv > 0.0, special.gammainc(p[0], p[1] * np.maximum(xv, 0.0)), 0.0)
     else:  # exponential
         out = np.where(xv > 0.0, -np.expm1(-p[0] * np.maximum(xv, 0.0)), 0.0)
-    return out if isinstance(x, np.ndarray) else float(out)
-
-
-def pdf(spec: DistributionSpec, x):
-    """Probability density function; 0 outside the support."""
-    xv = _check_finite(x, "x")
-    fam, p = spec.family, spec.params
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if fam is Family.BETA:
-            a, b = p
-            inside = (xv > 0.0) & (xv < 1.0)
-            xs = np.where(inside, xv, 0.5)
-            logpdf = (
-                (a - 1.0) * np.log(xs)
-                + (b - 1.0) * np.log1p(-xs)
-                - special.betaln(a, b)
-            )
-            out = np.where(inside, np.exp(logpdf), 0.0)
-        elif fam is Family.NORMAL:
-            mu, sigma = p
-            z = (xv - mu) / sigma
-            out = np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
-        elif fam is Family.GAMMA:
-            shape, rate = p
-            inside = xv > 0.0
-            xs = np.where(inside, xv, 1.0)
-            logpdf = (
-                shape * np.log(rate)
-                + (shape - 1.0) * np.log(xs)
-                - rate * xs
-                - special.gammaln(shape)
-            )
-            out = np.where(inside, np.exp(logpdf), 0.0)
-        else:  # exponential
-            rate = p[0]
-            out = np.where(xv >= 0.0, rate * np.exp(-rate * np.maximum(xv, 0.0)), 0.0)
     return out if isinstance(x, np.ndarray) else float(out)
 
 

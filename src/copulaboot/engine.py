@@ -35,7 +35,6 @@ __all__ = [
     "CombinedEstimate",
     "Combiner",
     "boot_comb",
-    "draw_dependent_samples",
     "percentile_interval",
     "hdi_interval",
 ]
@@ -233,44 +232,18 @@ def _combine_chunk(
     return x
 
 
-def draw_dependent_samples(
-    marginals: Sequence[FittedDistribution],
-    sigma: CorrelationMatrix,
-    n: int,
-    rng: RngStream,
-) -> np.ndarray:
-    """Draw an n x d matrix of dependent parameter values, advancing ``rng``.
-
-    With the identity matrix the latent stage is skipped and the output is
-    bit-identical to independent per-marginal inverse-transform sampling
-    from the same stream.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    d = len(marginals)
-    if sigma.d != d:
-        raise ValueError(
-            f"dimension mismatch: {d} marginals, {sigma.d}x{sigma.d} matrix"
-        )
-    x = _combine_chunk(marginals, factor_correlation(sigma), rng, 0, n)
-    rng.counter += n * d
-    return x
-
-
 def boot_comb(
     marginals: Sequence[FittedDistribution],
     sigma: CorrelationMatrix,
     combiner: Combiner,
     config: BootstrapConfig,
-    point_estimates: Optional[Sequence[float]] = None,
     stream_id: int = 0,
     valid_range: Optional[tuple[float, float]] = None,
 ) -> CombinedEstimate:
     """Run the full combination pipeline and summarize with an interval.
 
-    When ``point_estimates`` are supplied, the combiner applied to them is
-    reported as the point estimate; otherwise the combined-sample median.
-    With ``valid_range`` set, combined values outside the open interval are
+    The point estimate is the median of the kept combined sample. With
+    ``valid_range`` set, combined values outside the open interval are
     excluded from the empirical sample before the interval is computed (the
     count is reported in the diagnostics). The result is identical for any
     chunk size and thread count.
@@ -283,11 +256,6 @@ def boot_comb(
     if combiner.arity != d:
         raise DomainError(
             f"dimension mismatch: {d} marginals but combiner arity {combiner.arity}"
-        )
-    if point_estimates is not None and len(point_estimates) != d:
-        raise DomainError(
-            f"dimension mismatch: {d} marginals but "
-            f"{len(point_estimates)} point estimates"
         )
 
     factor = factor_correlation(sigma)
@@ -341,11 +309,6 @@ def boot_comb(
     else:
         low, upp = hdi_interval(kept_values, config.level)
 
-    if point_estimates is not None:
-        point = float(combiner(np.asarray(point_estimates, dtype=float)[None, :])[0])
-    else:
-        point = float(np.median(kept_values))
-
     eigs = np.linalg.eigvalsh(sigma.entries)
     diagnostics = {
         "fit_residuals": [m.residual for m in marginals],
@@ -366,7 +329,7 @@ def boot_comb(
         method=config.method,
         level=config.level,
         n=n,
-        point_estimate=point,
+        point_estimate=float(np.median(kept_values)),
         diagnostics=diagnostics,
         sample=sample,
     )

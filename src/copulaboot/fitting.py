@@ -22,11 +22,14 @@ __all__ = [
     "QuantileConstraint",
     "FittedDistribution",
     "fit_from_quantiles",
-    "fit_residual",
 ]
 
 # two-parameter families must meet both constraints to this tolerance
 FIT_TOL = 1e-6
+
+# a failed fit of a CI narrower than this, relative to its larger bound, is
+# put down to the double-precision cdf, which resolves about 1e-9
+_RESOLVED_WIDTH = 1e-8
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,7 @@ class FittedDistribution:
     residual: float
 
 
-def fit_residual(spec: DistributionSpec, constraint: QuantileConstraint) -> float:
+def _fit_residual(spec: DistributionSpec, constraint: QuantileConstraint) -> float:
     """Euclidean fit error on the probability scale.
 
     sqrt[(cdf(qLow) - alphaLow)^2 + (cdf(qUpp) - alphaUpp)^2]; zero iff both
@@ -70,6 +73,17 @@ def fit_residual(spec: DistributionSpec, constraint: QuantileConstraint) -> floa
     r_low = cdf(spec, constraint.q_low) - constraint.alpha_low
     r_upp = cdf(spec, constraint.q_upp) - constraint.alpha_upp
     return math.hypot(r_low, r_upp)
+
+
+def _narrow_ci_note(family: Family, c: QuantileConstraint) -> str:
+    """Why a fit of a CI too narrow for its cdf failed; empty for wider CIs."""
+    width = (c.q_upp - c.q_low) / max(abs(c.q_low), abs(c.q_upp))
+    if width >= _RESOLVED_WIDTH:
+        return ""
+    return (
+        f"; the CI's relative width {width:.1e} is below what the "
+        f"double-precision {family.value} cdf resolves (~1e-9)"
+    )
 
 
 def _check_support(family: Family, c: QuantileConstraint):
@@ -101,7 +115,10 @@ def _log_root(f, x0: float, what: str) -> float:
         if math.isnan(f_lo) or math.isnan(f_hi):
             raise FitError(f"root function is NaN while bracketing the {what}")
         if f_lo * f_hi <= 0.0:
-            return optimize.brentq(f, lo, hi, xtol=1e-15)
+            try:
+                return optimize.brentq(f, lo, hi, xtol=1e-15)
+            except ValueError:  # brentq met a NaN inside the bracket
+                raise FitError(f"root function is NaN solving for the {what}") from None
         lo, hi, step = lo - step, hi + step, 2.0 * step
     raise FitError(f"no bracket for the {what} with its log inside (-700, 700)")
 
@@ -124,7 +141,7 @@ def _fit_exponential(c: QuantileConstraint) -> DistributionSpec:
 
     def objective(t):
         spec = DistributionSpec(Family.EXPONENTIAL, (math.exp(t),))
-        return fit_residual(spec, c) ** 2
+        return _fit_residual(spec, c) ** 2
 
     res = optimize.minimize_scalar(objective, bracket=(t0 - 1.0, t0 + 1.0))
     return DistributionSpec(Family.EXPONENTIAL, (math.exp(res.x),))
@@ -184,9 +201,13 @@ def fit_from_quantiles(
 
     fitters = {Family.NORMAL: _fit_normal, Family.EXPONENTIAL: _fit_exponential,
                Family.GAMMA: _fit_gamma, Family.BETA: _fit_beta}
-    spec = fitters[family](constraint)
+    try:
+        spec = fitters[family](constraint)
+    except FitError as exc:
+        note = _narrow_ci_note(family, constraint)
+        raise FitError(f"{exc}{note}", exc.best_residual) from None
 
-    residual = fit_residual(spec, constraint)
+    residual = _fit_residual(spec, constraint)
     if family is Family.EXPONENTIAL:
         if residual > 1e-3:
             warnings.warn(
@@ -197,7 +218,8 @@ def fit_from_quantiles(
     elif residual > FIT_TOL:
         raise FitError(
             f"{family.value} fit did not converge: residual {residual:.3e} "
-            f"> {FIT_TOL} for constraint {constraint}",
+            f"> {FIT_TOL} for constraint {constraint}"
+            + _narrow_ci_note(family, constraint),
             best_residual=residual,
         )
     return FittedDistribution(spec=spec, constraint=constraint, residual=residual)

@@ -15,14 +15,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .copula import CorrelationMatrix, validate_correlation_matrix
+from .copula import CorrelationMatrix, factor_correlation, validate_correlation_matrix
 from .engine import (
     BootstrapConfig,
     Combiner,
     CombinedEstimate,
+    _combine_chunk,
     _rogan_gladen_raw,
     boot_comb,
-    draw_dependent_samples,
 )
 from .errors import DomainError, UninformativeTestError
 from .fitting import FittedDistribution, QuantileConstraint, fit_from_quantiles
@@ -181,4 +181,4 @@ def scatter_draws(
         for ci in (sens_ci, spec_ci)
     ]
     sigma = validate_correlation_matrix([[1.0, rho], [rho, 1.0]])
-    return draw_dependent_samples(marginals, sigma, m, RngStream(seed))
+    return _combine_chunk(marginals, factor_correlation(sigma), RngStream(seed), 0, m)

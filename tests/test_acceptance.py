@@ -18,18 +18,16 @@ from copulaboot import (
     CoverageScenario,
     PrevAdjustRequest,
     QuantileConstraint,
-    RngStream,
     boot_comb,
-    cdf,
-    draw_dependent_samples,
     fit_from_quantiles,
-    hdi_interval,
-    rogan_gladen,
     run_coverage,
     sens_spec_sigma,
     validate_correlation_matrix,
 )
 from copulaboot.cli import main
+from copulaboot.distributions import cdf
+from copulaboot.engine import hdi_interval
+from copulaboot.prevalence import rogan_gladen
 
 HDV_CIS = [(0.027, 0.050), (0.036, 0.057)]
 PREV_CI = (0.136, 0.204)
@@ -184,11 +182,18 @@ def test_criterion_4_sars_correlated(sars_runs):
     )
 
 
+def input_draws(marginals, sigma, seed):
+    """The 1e5 (n, d) parameter draws behind a boot_comb run with this seed."""
+    config = BootstrapConfig(n=100_000, seed=seed, return_boot_vals=True)
+    est = boot_comb(marginals, sigma, Combiner.sum(len(marginals)), config)
+    return est.sample.input_draws
+
+
 def test_criterion_5_rank_correlation_law(hdv_marginals):
     errs = {}
     for rho in (-0.9, -0.5, 0.5, 0.9):
         sigma = validate_correlation_matrix([[1, rho], [rho, 1]])
-        x = draw_dependent_samples(hdv_marginals, sigma, 100_000, RngStream(17))
+        x = input_draws(hdv_marginals, sigma, 17)
         r = stats.spearmanr(x[:, 0], x[:, 1]).statistic
         expected = (6.0 / math.pi) * math.asin(rho / 2.0)
         errs[rho] = abs(r - expected)
@@ -218,7 +223,7 @@ def test_criterion_6_marginal_preservation(hdv_marginals, sars_marginals):
         (sars_marginals, sens_spec_sigma(-0.5)),
     ]
     for marginals, sigma in cases:
-        x = draw_dependent_samples(marginals, sigma, 100_000, RngStream(23))
+        x = input_draws(marginals, sigma, 23)
         for i, m in enumerate(marginals):
             worst = max(worst, ks(x[:, i], m))
     ok = worst < 0.006

@@ -5,20 +5,19 @@ import pytest
 from scipy import stats
 
 from copulaboot import (
+    BootstrapConfig,
+    Combiner,
+    DomainError,
     InvalidCorrelationError,
     QuantileConstraint,
-    RngStream,
-    cdf,
-    draw_dependent_samples,
-    factor_correlation,
+    boot_comb,
     fit_from_quantiles,
-    quantile,
-    std_normal_cdf,
-    std_normal_quantile,
     validate_correlation_matrix,
 )
-from copulaboot.copula import _draw_uniform_block
-from copulaboot.rng import _U_HIGH, _U_LOW
+from copulaboot.copula import _draw_uniform_block, factor_correlation
+from copulaboot.distributions import cdf, quantile, std_normal_cdf, std_normal_quantile
+from copulaboot.engine import MIN_DRAWS, _combine_chunk
+from copulaboot.rng import _U_HIGH, _U_LOW, RngStream
 
 Z_975 = 1.9599639845400545
 
@@ -39,6 +38,20 @@ def ks_distance(sample, fitted):
 def spearman_of_rho(rho):
     # closed-form Gaussian-copula rank correlation
     return (6.0 / math.pi) * math.asin(rho / 2.0)
+
+
+def sample(marginals, sigma, n, seed, start=0):
+    """Draws start..start+n-1 of the sampler on stream (seed, 0).
+
+    Runs of at least MIN_DRAWS from the start go through ``boot_comb``;
+    shorter ones call its chunk sampler, ``engine._combine_chunk``, directly.
+    """
+    if start == 0 and n >= MIN_DRAWS:
+        config = BootstrapConfig(n=n, seed=seed, return_boot_vals=True)
+        combiner = Combiner.sum(len(marginals))
+        return boot_comb(marginals, sigma, combiner, config).sample.input_draws
+    factor = factor_correlation(sigma)
+    return _combine_chunk(marginals, factor, RngStream(seed), start, start + n)
 
 
 def rebuild_draws(marginals, sigma, n, seed):
@@ -91,10 +104,6 @@ class TestValidate:
         with pytest.raises(InvalidCorrelationError, match="not symmetric"):
             validate_correlation_matrix([[1.0, 0.3], [0.4, 1.0]])
 
-    def test_symmetrize_flag(self):
-        sigma = validate_correlation_matrix([[1.0, 0.3], [0.5, 1.0]], symmetrize=True)
-        assert sigma.entries[0, 1] == pytest.approx(0.4)
-
     def test_out_of_range(self):
         with pytest.raises(InvalidCorrelationError, match="out of"):
             validate_correlation_matrix([[1.0, 1.5], [1.5, 1.0]])
@@ -141,7 +150,7 @@ class TestFactor:
             dd = np.sqrt(np.diag(cov))
             m = cov / np.outer(dd, dd)
             np.fill_diagonal(m, 1.0)
-            sigma = validate_correlation_matrix(m, symmetrize=True)
+            sigma = validate_correlation_matrix(0.5 * (m + m.T))
             f = factor_correlation(sigma)
             assert np.max(np.abs(f.L @ f.L.T - sigma.entries)) <= 1e-8
             assert np.allclose(np.triu(f.L, 1), 0.0)
@@ -157,19 +166,19 @@ class TestSampleLatent:
         assert np.array_equal(u, np.clip(raw, _U_LOW, _U_HIGH))
 
     def test_determinism_and_advancement(self, beta_marginals):
+        # draws 50..99 follow draws 0..49 on the stream, 2 positions per draw
         sigma = validate_correlation_matrix([[1, 0.5], [0.5, 1]])
-        rng = RngStream(123)
-        first = draw_dependent_samples(beta_marginals, sigma, 50, rng)
-        assert rng.counter == 100
-        second = draw_dependent_samples(beta_marginals, sigma, 50, rng)
+        first = sample(beta_marginals, sigma, 50, 123)
+        assert np.array_equal(first, sample(beta_marginals, sigma, 50, 123))
+        second = sample(beta_marginals, sigma, 50, 123, start=50)
         assert not np.array_equal(first, second)
-        whole = draw_dependent_samples(beta_marginals, sigma, 100, RngStream(123))
+        whole = sample(beta_marginals, sigma, 100, 123)
         assert np.array_equal(whole, np.vstack([first, second]))
 
     def test_rank1_equal_components(self, beta_marginals):
         same = [beta_marginals[0], beta_marginals[0]]
         sigma = validate_correlation_matrix([[1, 1], [1, 1]])
-        x = draw_dependent_samples(same, sigma, 1000, RngStream(9))
+        x = sample(same, sigma, 1000, 9)
         assert np.array_equal(x[:, 0], x[:, 1])
 
 
@@ -179,42 +188,40 @@ class TestCopulaTransform:
     def test_zero_latent_gives_medians(self, beta_marginals, constant_uniforms):
         constant_uniforms(0.5)  # g = Phi^-1(1/2) = 0, so every latent is 0
         sigma = validate_correlation_matrix([[1, 0.5], [0.5, 1]])
-        x = draw_dependent_samples(beta_marginals, sigma, 10, RngStream(1))
+        x = sample(beta_marginals, sigma, 10, 1)
         for i, m in enumerate(beta_marginals):
             assert np.all(x[:, i] == quantile(m.spec, 0.5))
 
     def test_normal_round_trip(self):
         m = fit_from_quantiles("normal", QuantileConstraint(-Z_975, Z_975))
         sigma = validate_correlation_matrix([[1, 0.5], [0.5, 1]])
-        x = draw_dependent_samples([m, m], sigma, 1000, RngStream(4))
+        x = sample([m, m], sigma, 1000, 4)
         z, _ = rebuild_draws([m, m], sigma, 1000, 4)
         assert np.max(np.abs(x - z)) <= 1e-9
 
     def test_extreme_latent_clamped(self, beta_marginals, constant_uniforms):
         constant_uniforms(0.0)  # clamped to _U_LOW, the most extreme latent
         sigma = validate_correlation_matrix([[1, 0.5], [0.5, 1]])
-        x = draw_dependent_samples(beta_marginals, sigma, 10, RngStream(1))
+        x = sample(beta_marginals, sigma, 10, 1)
         assert np.all(x > 0.0)
         assert np.all(np.isfinite(x))
 
     def test_invariants(self, beta_marginals):
         sigma = validate_correlation_matrix([[1, 0.5], [0.5, 1]])
-        x = draw_dependent_samples(beta_marginals, sigma, 1000, RngStream(5))
+        x = sample(beta_marginals, sigma, 1000, 5)
         _, ref = rebuild_draws(beta_marginals, sigma, 1000, 5)
         assert np.array_equal(x, ref)
 
     def test_length_mismatch(self, beta_marginals):
         sigma = validate_correlation_matrix(np.eye(2))
-        with pytest.raises(ValueError):
-            draw_dependent_samples(
-                beta_marginals + beta_marginals[:1], sigma, 10, RngStream(1)
-            )
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            sample(beta_marginals + beta_marginals[:1], sigma, MIN_DRAWS, 1)
 
 
 class TestDrawDependentSamples:
     def test_identity_bit_identical_to_independent(self, beta_marginals):
         sigma = validate_correlation_matrix(np.eye(2))
-        x = draw_dependent_samples(beta_marginals, sigma, 500, RngStream(42))
+        x = sample(beta_marginals, sigma, 500, 42)
         u = np.clip(RngStream(42).uniforms(1000).reshape(500, 2), 1e-300, 1 - 1e-16)
         ref = np.column_stack(
             [quantile(m.spec, u[:, i]) for i, m in enumerate(beta_marginals)]
@@ -223,13 +230,13 @@ class TestDrawDependentSamples:
 
     def test_marginals_preserved_identity(self, beta_marginals):
         sigma = validate_correlation_matrix(np.eye(2))
-        x = draw_dependent_samples(beta_marginals, sigma, N_BIG, RngStream(7))
+        x = sample(beta_marginals, sigma, N_BIG, 7)
         for i, m in enumerate(beta_marginals):
             assert ks_distance(x[:, i], m) < KS_THRESHOLD
 
     def test_marginals_preserved_correlated(self, beta_marginals):
         sigma = validate_correlation_matrix([[1, 0.5], [0.5, 1]])
-        x = draw_dependent_samples(beta_marginals, sigma, N_BIG, RngStream(7))
+        x = sample(beta_marginals, sigma, N_BIG, 7)
         for i, m in enumerate(beta_marginals):
             assert ks_distance(x[:, i], m) < KS_THRESHOLD
 
@@ -247,13 +254,13 @@ class TestDrawDependentSamples:
     @pytest.mark.parametrize("rho", [-0.9, -0.5, 0.0, 0.5, 0.9])
     def test_spearman_rank_law(self, beta_marginals, rho):
         sigma = validate_correlation_matrix([[1, rho], [rho, 1]])
-        x = draw_dependent_samples(beta_marginals, sigma, N_BIG, RngStream(13))
+        x = sample(beta_marginals, sigma, N_BIG, 13)
         r = stats.spearmanr(x[:, 0], x[:, 1]).statistic
         assert r == pytest.approx(spearman_of_rho(rho), abs=0.01)
 
     def test_perfect_correlation_identical_ranks(self, beta_marginals):
         sigma = validate_correlation_matrix([[1, 1], [1, 1]])
-        x = draw_dependent_samples(beta_marginals, sigma, 5000, RngStream(3))
+        x = sample(beta_marginals, sigma, 5000, 3)
         r0 = stats.rankdata(x[:, 0])
         r1 = stats.rankdata(x[:, 1])
         assert np.array_equal(r0, r1)
@@ -264,35 +271,27 @@ class TestDrawDependentSamples:
 
     def test_determinism(self, beta_marginals):
         sigma = validate_correlation_matrix([[1, 0.5], [0.5, 1]])
-        a = draw_dependent_samples(beta_marginals, sigma, 2000, RngStream(99))
-        b = draw_dependent_samples(beta_marginals, sigma, 2000, RngStream(99))
+        a = sample(beta_marginals, sigma, 2000, 99)
+        b = sample(beta_marginals, sigma, 2000, 99)
         assert np.array_equal(a, b)
 
     def test_chunk_partition_invariance(self, beta_marginals):
         # drawing in two halves from the appropriately positioned streams
         # reproduces the single-shot output exactly
         sigma = validate_correlation_matrix([[1, 0.5], [0.5, 1]])
-        whole = draw_dependent_samples(beta_marginals, sigma, 1000, RngStream(21))
-        first = draw_dependent_samples(beta_marginals, sigma, 600, RngStream(21))
-        second = draw_dependent_samples(
-            beta_marginals, sigma, 400, RngStream(21).at(600 * 2)
-        )
+        whole = sample(beta_marginals, sigma, 1000, 21)
+        first = sample(beta_marginals, sigma, 600, 21)
+        second = sample(beta_marginals, sigma, 400, 21, start=600)
         assert np.array_equal(whole, np.vstack([first, second]))
         # one-draw blocks round exactly like the rows of a taller block
-        singles = [
-            draw_dependent_samples(beta_marginals, sigma, 1, RngStream(21).at(2 * i))
-            for i in range(200)
-        ]
+        singles = [sample(beta_marginals, sigma, 1, 21, start=i) for i in range(200)]
         assert np.array_equal(whole[:200], np.vstack(singles))
 
     def test_n_and_dimension_validation(self, beta_marginals):
-        sigma = validate_correlation_matrix(np.eye(2))
-        with pytest.raises(ValueError):
-            draw_dependent_samples(beta_marginals, sigma, 0, RngStream(1))
-        with pytest.raises(ValueError):
-            draw_dependent_samples(
-                beta_marginals, validate_correlation_matrix(np.eye(3)), 10, RngStream(1)
-            )
+        with pytest.raises(DomainError, match="n must be"):
+            BootstrapConfig(n=0)
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            sample(beta_marginals, validate_correlation_matrix(np.eye(3)), MIN_DRAWS, 1)
 
 
 class TestRngStream:
@@ -310,13 +309,22 @@ class TestRngStream:
         b = RngStream(123, 1).uniforms(50)
         assert not np.array_equal(a, b)
 
-    def test_normals_consume_one_uniform_each(self, beta_marginals):
+    def test_normals_consume_one_uniform_each(self, beta_marginals, monkeypatch):
         # each latent normal is read from exactly one stream uniform
+        read = []
+        uniforms = RngStream.uniforms
+
+        def recording(self, n):
+            read.append((self.counter, n))
+            return uniforms(self, n)
+
+        monkeypatch.setattr(RngStream, "uniforms", recording)
         for marginals, sigma in (
             (beta_marginals[:1], [[1.0]]),
             (beta_marginals, [[1, 0.5], [0.5, 1]]),
         ):
-            rng = RngStream(5)
+            read.clear()
             sigma = validate_correlation_matrix(sigma)
-            draw_dependent_samples(marginals, sigma, 7, rng)
-            assert rng.counter == 7 * len(marginals)
+            sample(marginals, sigma, 7, 5, start=3)
+            d = len(marginals)
+            assert read == [(3 * d, 7 * d)]

@@ -7,10 +7,10 @@ from copulaboot import (
     Combiner,
     CoverageScenario,
     DomainError,
-    clopper_pearson,
     run_coverage,
     validate_correlation_matrix,
 )
+from copulaboot.coverage import clopper_pearson
 
 
 def make_scenario(trials=50, n=20_000, sizes=(2000, 1500), level=0.95):

@@ -11,10 +11,9 @@ from copulaboot import (
     QuantileConstraint,
     boot_comb,
     fit_from_quantiles,
-    hdi_interval,
-    percentile_interval,
     validate_correlation_matrix,
 )
+from copulaboot.engine import hdi_interval, percentile_interval
 
 Z_975 = 1.9599639845400545
 
@@ -188,6 +187,35 @@ class TestBootComb:
         b = boot_comb(hdv_marginals, sigma, Combiner.product(2), other)
         assert (a.low, a.upp, a.point_estimate) == (b.low, b.upp, b.point_estimate)
 
+    @settings(max_examples=20)
+    @given(
+        m=st.integers(1000, 3000),
+        extra=st.integers(0, 2000),
+        schedules=st.tuples(
+            st.integers(1, 2500), st.sampled_from([1, 2]),
+            st.integers(1, 2500), st.sampled_from([1, 2]),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        rho=st.floats(-0.9, 0.9),
+    )
+    def test_n_prefix(self, hdv_marginals, m, extra, schedules, seed, rho):
+        # the first m draws of an n-draw run are the draws of an m-draw run,
+        # whatever chunking and thread count either run uses
+        sigma = validate_correlation_matrix([[1, rho], [rho, 1]])
+        chunk_m, threads_m, chunk_n, threads_n = schedules
+
+        def draws(n, chunk_size, threads):
+            config = BootstrapConfig(
+                n=n, seed=seed, chunk_size=chunk_size, threads=threads,
+                return_boot_vals=True,
+            )
+            est = boot_comb(hdv_marginals, sigma, Combiner.product(2), config)
+            return est.sample.input_draws
+
+        short = draws(m, chunk_m, threads_m)
+        long = draws(m + extra, chunk_n, threads_n)
+        assert np.array_equal(long[:m], short)
+
     def test_independent_runs_same_distribution(self, hdv_marginals):
         # two seeds, identity matrix: KS between the two combined samples
         sigma = validate_correlation_matrix(np.eye(2))
@@ -208,18 +236,6 @@ class TestBootComb:
             est = boot_comb(hdv_marginals, sigma, Combiner.product(2), config)
             widths.append(est.upp - est.low)
         assert widths[2] == max(widths)
-
-    def test_point_estimate_from_supplied_points(self, hdv_marginals):
-        sigma = validate_correlation_matrix(np.eye(2))
-        config = BootstrapConfig(n=1000, seed=3)
-        est = boot_comb(
-            hdv_marginals,
-            sigma,
-            Combiner.product(2),
-            config,
-            point_estimates=(0.035, 0.045),
-        )
-        assert est.point_estimate == pytest.approx(0.035 * 0.045, abs=1e-15)
 
     def test_point_estimate_defaults_to_median(self, hdv_marginals):
         sigma = validate_correlation_matrix(np.eye(2))

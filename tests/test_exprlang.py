@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from copulaboot import (
-    EvalError,
-    ParseError,
+from copulaboot import EvalError, ParseError
+from copulaboot.exprlang import (
+    Binary,
+    Call,
+    Num,
+    Unary,
+    Var,
     eval_expression,
     free_variables,
     parse_expression,
     unparse,
 )
-from copulaboot.exprlang import Binary, Call, Num, Unary, Var
 
 
 class TestParse:

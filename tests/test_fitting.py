@@ -12,13 +12,10 @@ from copulaboot import (
     Family,
     FitError,
     QuantileConstraint,
-    cdf,
     fit_from_quantiles,
-    fit_residual,
-    quantile,
-    std_normal_quantile,
 )
-from copulaboot.fitting import FIT_TOL
+from copulaboot.distributions import cdf, quantile
+from copulaboot.fitting import FIT_TOL, _fit_residual
 
 Z_975 = 1.9599639845400545
 
@@ -43,19 +40,19 @@ class TestFitResidual:
     def test_exact_normal(self):
         spec = DistributionSpec(Family.NORMAL, (0, 1))
         c = QuantileConstraint(-Z_975, Z_975)
-        assert fit_residual(spec, c) <= 1e-10
+        assert _fit_residual(spec, c) <= 1e-10
 
     def test_direct_substitution(self):
         # cdf(0)=0.5 so the low residual is 0.475, the upp residual ~0
         spec = DistributionSpec(Family.NORMAL, (0, 1))
         c = QuantileConstraint(0.0, Z_975)
-        assert fit_residual(spec, c) == pytest.approx(0.475, abs=1e-9)
+        assert _fit_residual(spec, c) == pytest.approx(0.475, abs=1e-9)
 
     def test_uniform_identity(self):
         # beta(1,1) cdf is the identity, so quantiles equal their probabilities
         spec = DistributionSpec(Family.BETA, (1, 1))
         c = QuantileConstraint(0.025, 0.975)
-        assert fit_residual(spec, c) == pytest.approx(0.0, abs=1e-15)
+        assert _fit_residual(spec, c) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestFitFromQuantiles:
@@ -94,7 +91,7 @@ class TestFitFromQuantiles:
         rate = fit.spec.params[0]
         for factor in (0.99, 1.01):
             other = DistributionSpec(Family.EXPONENTIAL, (rate * factor,))
-            assert fit_residual(other, fit.constraint) >= fit.residual
+            assert _fit_residual(other, fit.constraint) >= fit.residual
 
     def test_exponential_self_consistent(self):
         # constraints actually achievable by an exponential fit cleanly
@@ -108,7 +105,7 @@ class TestFitFromQuantiles:
     def test_residual_field_matches_fit_residual(self):
         fit = fit_from_quantiles("beta", QuantileConstraint(0.136, 0.204))
         assert fit.residual == pytest.approx(
-            fit_residual(fit.spec, fit.constraint), abs=1e-12
+            _fit_residual(fit.spec, fit.constraint), abs=1e-12
         )
 
 
@@ -179,6 +176,28 @@ def test_extreme_constraints(family, q_low, q_upp, expected):
     assert fit.residual <= FIT_TOL
     if expected is not None:
         assert fit.spec.params == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "family, q_low, q_upp, width",
+    [
+        ("gamma", 1.0, 1.0 + 1e-12, "1.0e-12"),
+        ("beta", 0.3, 0.30000000001, "3.3e-11"),
+        ("normal", 1.7016666546485774e-33, 1.701666654652761e-33, "2.5e-12"),
+        # brentq meets a NaN inside its bracket: still a FitError naming the limit
+        ("beta", 0.3, 0.300000000003, "1.0e-11"),
+    ],
+    ids=["gamma", "beta", "normal", "beta-nan-in-bracket"],
+)
+def test_narrow_ci_names_the_limit(family, q_low, q_upp, width):
+    # a CI narrower than the double-precision cdf resolves has no fit
+    # within FIT_TOL; the error gives its relative width and says so
+    expected = (
+        f"relative width {width} is below what the double-precision "
+        rf"{family} cdf resolves \(~1e-9\)"
+    )
+    with pytest.raises(FitError, match=expected):
+        fit_from_quantiles(family, QuantileConstraint(q_low, q_upp))
 
 
 @st.composite

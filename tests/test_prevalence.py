@@ -12,13 +12,13 @@ from copulaboot import (
     QuantileConstraint,
     adjust_prevalence,
     boot_comb,
-    cdf,
     fit_from_quantiles,
     rho_sweep,
-    rogan_gladen,
     scatter_draws,
     sens_spec_sigma,
 )
+from copulaboot.distributions import cdf
+from copulaboot.prevalence import rogan_gladen
 
 # SARS-CoV-2 serosurvey inputs: 84/500 positive, sensitivity 238/270,
 # specificity 82/88
