@@ -128,15 +128,22 @@ def _draw_uniform_block(
 ) -> np.ndarray:
     """The n x d copula uniforms for draws consuming positions [c, c + n*d)."""
     raw = rng.uniforms(n * d).reshape(n, d)
+    np.clip(raw, _U_LOW, _U_HIGH, out=raw)
     if np.array_equal(factor.L, np.eye(d)):
-        return np.clip(raw, _U_LOW, _U_HIGH)
-    g = std_normal_quantile(np.clip(raw, _U_LOW, _U_HIGH))
+        return raw
+    # each chunk-length intermediate is dropped once the next one exists
+    g = std_normal_quantile(raw)
+    del raw
     # z = g @ L.T added term by term in a fixed order (L is lower-triangular):
     # BLAS rounds a one-row product unlike a taller one, and a draw must not
     # depend on the chunk that holds it
     z = np.empty((d, n))
+    term = np.empty(n)
     for i in range(d):
-        z[i] = g[:, 0] * factor.L[i, 0]
+        np.multiply(g[:, 0], factor.L[i, 0], out=z[i])
         for j in range(1, i + 1):
-            z[i] += g[:, j] * factor.L[i, j]
-    return np.clip(std_normal_cdf(z.T), _U_LOW, _U_HIGH)
+            z[i] += np.multiply(g[:, j], factor.L[i, j], out=term)
+    del g, term
+    u = std_normal_cdf(z.T)
+    del z
+    return np.clip(u, _U_LOW, _U_HIGH, out=u)

@@ -187,31 +187,48 @@ def percentile_interval(values, level: float) -> tuple[float, float]:
 
     Linear interpolation of order statistics: with sorted x_0..x_{N-1} and
     h = (N-1)p, the quantile is x_floor(h) + frac(h) * (x_floor(h)+1 - x_floor(h)).
+    The endpoints are selected in place, so a float array passed in may come
+    back reordered (its values are unchanged).
     """
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise DomainError(f"need at least 2 values, got {values.size}")
     alpha = (1.0 - level) / 2.0
-    low, upp = np.quantile(values, [alpha, 1.0 - alpha], method="linear")
+    low, upp = np.quantile(
+        values, [alpha, 1.0 - alpha], method="linear", overwrite_input=True
+    )
     return float(low), float(upp)
+
+
+# window widths are scanned this many at a time, so the HDI search needs no
+# sample-sized scratch array
+_HDI_BLOCK = 16_384
 
 
 def hdi_interval(values, level: float) -> tuple[float, float]:
     """Shortest interval containing ceil(level * N) of the N sample values.
 
-    Ties are broken by the smallest left index so the result is
-    deterministic.
+    ``values`` must be sorted ascending; an unsorted sample raises
+    ``DomainError``. Ties are broken by the smallest left index so the
+    result is deterministic.
     """
-    values = np.asarray(values, dtype=float)
-    n = values.size
+    s = np.asarray(values, dtype=float)
+    n = s.size
     if n < 2:
         raise DomainError(f"need at least 2 values, got {n}")
-    s = np.sort(values)
-    m = math.ceil(level * n)
-    m = max(m, 1)
-    widths = s[m - 1 :] - s[: n - m + 1]
-    i = int(np.argmin(widths))  # argmin returns the first minimizer
-    return float(s[i]), float(s[i + m - 1])
+    for start in range(0, n - 1, _HDI_BLOCK):
+        stop = min(start + _HDI_BLOCK, n - 1)
+        if np.any(s[start + 1 : stop + 1] < s[start:stop]):
+            raise DomainError("hdi_interval needs a sample sorted ascending")
+    m = max(math.ceil(level * n), 1)
+    best, best_width = 0, math.inf
+    for start in range(0, n - m + 1, _HDI_BLOCK):
+        stop = min(start + _HDI_BLOCK, n - m + 1)
+        widths = s[start + m - 1 : stop + m - 1] - s[start:stop]
+        i = int(np.argmin(widths))  # argmin returns the first minimizer
+        if widths[i] < best_width:
+            best, best_width = start + i, widths[i]
+    return float(s[best]), float(s[best + m - 1])
 
 
 def _combine_chunk(
@@ -304,10 +321,20 @@ def boot_comb(
             kept_values = values[keep]
             kept_draws = draws[keep] if draws is not None else None
 
-    if config.method == "percentile":
-        low, upp = percentile_interval(kept_values, config.level)
+    # one ascending ordering serves the median and both interval methods; the
+    # returned sample keeps draw order, so only then is a copy sorted
+    if config.return_boot_vals:
+        ordered = np.sort(kept_values)
     else:
-        low, upp = hdi_interval(kept_values, config.level)
+        ordered = kept_values
+        ordered.sort()
+    k = ordered.size
+    # the mean of the middle one or two order statistics, as np.median takes it
+    point = float(np.mean(ordered[(k - 1) // 2 : k // 2 + 1]))
+    if config.method == "percentile":
+        low, upp = percentile_interval(ordered, config.level)
+    else:
+        low, upp = hdi_interval(ordered, config.level)
 
     eigs = np.linalg.eigvalsh(sigma.entries)
     diagnostics = {
@@ -329,7 +356,7 @@ def boot_comb(
         method=config.method,
         level=config.level,
         n=n,
-        point_estimate=float(np.median(kept_values)),
+        point_estimate=point,
         diagnostics=diagnostics,
         sample=sample,
     )

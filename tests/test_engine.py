@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,7 +71,7 @@ class TestHdiInterval:
     def test_hdi_no_wider_than_percentile_for_symmetric_sample(self):
         rng = np.random.default_rng(11)
         values = rng.standard_normal(50_000)
-        h_low, h_upp = hdi_interval(values, 0.95)
+        h_low, h_upp = hdi_interval(np.sort(values), 0.95)
         p_low, p_upp = percentile_interval(values, 0.95)
         assert h_upp - h_low <= p_upp - p_low + 1e-12
 
@@ -79,7 +81,24 @@ class TestHdiInterval:
             n = int(rng.integers(10, 1000))
             values = rng.gamma(2.0, 1.0, size=n)
             level = float(rng.uniform(0.5, 0.99))
-            assert hdi_interval(values, level) == brute_force_hdi(values, level)
+            assert hdi_interval(np.sort(values), level) == brute_force_hdi(values, level)
+
+    def test_blocked_scan_matches_one_shot_argmin(self):
+        # a sample spanning many scan blocks, rounded so that equal-width
+        # windows recur in different blocks: the first minimizer still wins
+        rng = np.random.default_rng(8)
+        s = np.sort(np.round(rng.standard_normal(100_000), 1))
+        for level in (0.5, 0.9, 0.95):
+            m = int(np.ceil(level * s.size))
+            i = int(np.argmin(s[m - 1 :] - s[: s.size - m + 1]))
+            assert hdi_interval(s, level) == (s[i], s[i + m - 1])
+
+    @pytest.mark.parametrize("swap", [0, 16_383, 39_998])
+    def test_rejects_unsorted_sample(self, swap):
+        values = np.arange(40_000.0)
+        values[[swap, swap + 1]] = values[[swap + 1, swap]]
+        with pytest.raises(DomainError, match="sorted"):
+            hdi_interval(values, 0.95)
 
     def test_too_small_sample(self):
         with pytest.raises(DomainError):
@@ -252,6 +271,38 @@ class TestBootComb:
         assert np.array_equal(
             est.sample.values, np.prod(est.sample.input_draws, axis=1)
         )
+
+    @pytest.mark.parametrize("method", ["percentile", "hdi"])
+    def test_returned_sample_keeps_draw_order(self, method):
+        # the summary sorts the kept values; the returned ones stay in draw
+        # order, row for row with the returned draws
+        m = fit_from_quantiles("normal", QuantileConstraint(-Z_975, Z_975))
+        sigma = validate_correlation_matrix([[1, 0.3], [0.3, 1]])
+        config = BootstrapConfig(
+            n=20_000, seed=6, method=method, chunk_size=3000, return_boot_vals=True
+        )
+        combiner = Combiner.sum(2)
+        est = boot_comb([m, m], sigma, combiner, config, valid_range=(0.0, 10.0))
+        assert est.diagnostics["dropped_outside_range"] > 0
+        assert np.array_equal(est.sample.values, combiner(est.sample.input_draws))
+
+    @pytest.mark.parametrize("method", ["percentile", "hdi"])
+    def test_peak_memory_of_one_run(self, hdv_marginals, method):
+        # a run holds its n combined values and a few chunk-sized buffers; the
+        # summary adds no sample-sized copy
+        n = 200_000
+        sigma = validate_correlation_matrix([[1, 0.5], [0.5, 1]])
+        config = BootstrapConfig(
+            n=n, seed=1, method=method, chunk_size=4096, threads=1
+        )
+        boot_comb(hdv_marginals, sigma, Combiner.product(2), config)  # warm-up
+        tracemalloc.start()
+        try:
+            boot_comb(hdv_marginals, sigma, Combiner.product(2), config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * n
 
     def test_valid_range_drops_and_counts(self):
         m = fit_from_quantiles("normal", QuantileConstraint(-Z_975, Z_975))
