@@ -1,7 +1,10 @@
 """Command-line interface for the bootstrap combination pipeline.
 
 Results go to standard output (JSON or CSV), logs to standard error.
-Exit codes: 0 success, 2 invalid arguments, 3 numerical failure.
+Exit codes: 0 success, 2 invalid input, 3 numerical failure. The library
+decides what is valid: its ``ValueError`` subclasses (``DomainError``,
+``InvalidCorrelationError``, ``ParseError``) and this module's
+``UsageError`` exit 2; every other ``CopulabootError`` exits 3.
 
 All probabilities are decimals in [0, 1]; percentages are never used in
 input or output. Correlation matrices are written row-major with ``,``
@@ -17,6 +20,7 @@ import logging
 import os
 import sys
 import time
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,13 +29,7 @@ from . import __version__
 from .copula import CorrelationMatrix, validate_correlation_matrix
 from .coverage import CoverageScenario, run_coverage
 from .engine import BootstrapConfig, Combiner, CombinedEstimate, boot_comb
-from .errors import (
-    CopulabootError,
-    DomainError,
-    FitError,
-    InvalidCorrelationError,
-    ParseError,
-)
+from .errors import CopulabootError
 from .fitting import QuantileConstraint, fit_from_quantiles
 from .prevalence import (
     PrevAdjustRequest,
@@ -66,8 +64,24 @@ Scenario files for the coverage command are JSON objects with fields:
 """
 
 
-class UsageError(Exception):
-    """Invalid command-line input; maps to exit code 2."""
+class UsageError(CopulabootError, ValueError):
+    """Command-line input the library never sees, such as a missing flag."""
+
+
+@contextmanager
+def _naming(name: str):
+    """Prefix an error raised inside with the flag or field it came from.
+
+    A library error keeps its type, and with it its exit code; a plain
+    ``ValueError`` (a number that does not parse) becomes a ``UsageError``.
+    """
+    try:
+        yield
+    except CopulabootError as exc:
+        exc.args = (f"{name}: {exc}",)
+        raise
+    except ValueError as exc:
+        raise UsageError(f"{name}: {exc}") from None
 
 
 def _fit_dist(text: str):
@@ -76,30 +90,15 @@ def _fit_dist(text: str):
         raise UsageError(
             f"--dist expects family:qLow:qUpp[:aLow:aUpp], got {text!r}"
         )
-    family = parts[0]
-    try:
-        nums = [float(p) for p in parts[1:]]
-    except ValueError as exc:
-        raise UsageError(f"--dist {text!r}: {exc}") from None
-    try:  # an unknown family or quantiles off its support are usage errors
-        return fit_from_quantiles(family, QuantileConstraint(*nums))
-    except DomainError as exc:
-        raise UsageError(f"--dist {text!r}: {exc}") from None
-    except FitError as exc:
-        raise FitError(f"--dist {text!r}: {exc}", exc.best_residual) from None
+    with _naming(f"--dist {text!r}"):
+        constraint = QuantileConstraint(*(float(p) for p in parts[1:]))
+        return fit_from_quantiles(parts[0], constraint)
 
 
 def _parse_sigma(text: str) -> CorrelationMatrix:
-    try:
-        rows = [
-            [float(v) for v in row.split(",")] for row in text.split(";") if row.strip()
-        ]
-    except ValueError as exc:
-        raise UsageError(f"--sigma {text!r}: {exc}") from None
-    try:
-        return validate_correlation_matrix(rows)
-    except InvalidCorrelationError as exc:
-        raise UsageError(f"--sigma {text!r}: {exc}") from None
+    with _naming(f"--sigma {text!r}"):
+        rows = [row.split(",") for row in text.split(";") if row.strip()]
+        return validate_correlation_matrix([[float(v) for v in r] for r in rows])
 
 
 def _parse_ci(flag: str, text: str) -> tuple[float, float]:
@@ -107,9 +106,17 @@ def _parse_ci(flag: str, text: str) -> tuple[float, float]:
         low, upp = (float(v) for v in text.split(","))
     except ValueError:
         raise UsageError(f"{flag} expects 'low,upp', got {text!r}") from None
-    if not (0.0 < low < upp < 1.0):
-        raise UsageError(f"{flag}: need 0 < low < upp < 1, got ({low}, {upp})")
     return low, upp
+
+
+def _combiner(kind: str, text, arity: int, name: str) -> Combiner:
+    """An expression (kind "expr") or builtin (kind "builtin") combiner."""
+    if not isinstance(text, str):
+        raise UsageError(f"{name} must be a string, got {type(text).__name__}")
+    with _naming(name):
+        if kind == "expr":
+            return Combiner.from_expression(text)
+        return Combiner.from_name(text, arity=arity)
 
 
 def _add_common_config(p: argparse.ArgumentParser):
@@ -144,18 +151,15 @@ def _add_prev_args(p: argparse.ArgumentParser):
 
 def _make_config(args, return_boot_vals=False) -> BootstrapConfig:
     threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    try:
-        return BootstrapConfig(
-            n=args.n,
-            seed=args.seed,
-            method=args.method,
-            level=args.level,
-            return_boot_vals=return_boot_vals,
-            chunk_size=args.chunk_size,
-            threads=threads,
-        )
-    except DomainError as exc:
-        raise UsageError(str(exc)) from None
+    return BootstrapConfig(
+        n=args.n,
+        seed=args.seed,
+        method=args.method,
+        level=args.level,
+        return_boot_vals=return_boot_vals,
+        chunk_size=args.chunk_size,
+        threads=threads,
+    )
 
 
 def _manifest(args, config: BootstrapConfig, **extra) -> dict:
@@ -222,24 +226,10 @@ def _cmd_combine(args) -> int:
         sigma = _parse_sigma(args.sigma)
     else:
         sigma = validate_correlation_matrix(np.eye(d))
-    if sigma.d != d:
-        raise UsageError(
-            f"--sigma is {sigma.d}x{sigma.d} but {d} --dist flags were given"
-        )
     if args.expr is not None:
-        try:
-            combiner = Combiner.from_expression(args.expr)
-        except ParseError as exc:
-            raise UsageError(f"--expr: {exc}") from None
+        combiner = _combiner("expr", args.expr, d, "--expr")
     else:
-        try:
-            combiner = Combiner.from_name(args.combiner, arity=d)
-        except DomainError as exc:
-            raise UsageError(f"--combiner: {exc}") from None
-    if combiner.arity != d:
-        raise UsageError(
-            f"combiner has arity {combiner.arity} but {d} --dist flags were given"
-        )
+        combiner = _combiner("builtin", args.combiner, d, "--combiner")
 
     config = _make_config(args, return_boot_vals=args.boot_vals is not None)
     est = boot_comb(marginals, sigma, combiner, config)
@@ -267,7 +257,7 @@ def _cmd_combine(args) -> int:
     return 0
 
 
-def _prev_request(args, return_boot_vals=False) -> PrevAdjustRequest:
+def _prev_request(args) -> PrevAdjustRequest:
     prev_ci = _parse_ci("--prev-ci", args.prev_ci)
     sens_ci = _parse_ci("--sens-ci", args.sens_ci)
     spec_ci = _parse_ci("--spec-ci", args.spec_ci)
@@ -276,62 +266,45 @@ def _prev_request(args, return_boot_vals=False) -> PrevAdjustRequest:
         if None in (args.prev, args.sens, args.spec):
             raise UsageError("--prev, --sens and --spec must be given together")
         points = (args.prev, args.sens, args.spec)
-    sigma = _prev_sigma(args)
-    config = _make_config(args, return_boot_vals=return_boot_vals)
-    try:
-        return PrevAdjustRequest(
-            prev_ci=prev_ci,
-            sens_ci=sens_ci,
-            spec_ci=spec_ci,
-            sigma=sigma,
-            config=config,
-            point_estimates=points,
-        )
-    except DomainError as exc:
-        raise UsageError(str(exc)) from None
+    return PrevAdjustRequest(
+        prev_ci=prev_ci,
+        sens_ci=sens_ci,
+        spec_ci=spec_ci,
+        sigma=_prev_sigma(args),
+        config=_make_config(args),
+        point_estimates=points,
+    )
 
 
 def _prev_sigma(args) -> CorrelationMatrix:
     if getattr(args, "sigma", None) is not None:
         return _parse_sigma(args.sigma)
     rho = getattr(args, "rho_sens_spec", None)
-    if rho is None:
-        rho = 0.0
-    if not -1.0 <= rho <= 1.0:
-        raise UsageError(f"--rho-sens-spec must be in [-1, 1], got {rho}")
-    return sens_spec_sigma(rho)
+    with _naming("--rho-sens-spec"):
+        return sens_spec_sigma(0.0 if rho is None else rho)
 
 
 def _cmd_adjust_prev(args) -> int:
     req = _prev_request(args)
     est = adjust_prevalence(req)
+    points = list(req.point_estimates) if req.point_estimates else None
     manifest = _manifest(
         args,
         req.config,
         prevCI=list(req.prev_ci),
         sensCI=list(req.sens_ci),
         specCI=list(req.spec_ci),
-        pointEstimates=list(req.point_estimates) if req.point_estimates else None,
+        pointEstimates=points,
         sigma=req.sigma.entries.tolist(),
         combiner="roganGladen",
     )
-    _emit(
-        _estimate_json(
-            est,
-            manifest,
-            pointEstimates=list(req.point_estimates) if req.point_estimates else None,
-        ),
-        args.out,
-    )
+    _emit(_estimate_json(est, manifest, pointEstimates=points), args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     if args.steps < 0:
         raise UsageError(f"--steps must be >= 0, got {args.steps}")
-    for v in (args.rho_from, args.rho_to):
-        if not -1.0 <= v <= 1.0:
-            raise UsageError(f"correlation must be in [-1, 1], got {v}")
     req = _prev_request(args)
     grid = np.linspace(args.rho_from, args.rho_to, args.steps + 1)
     rows = rho_sweep(req, [float(r) for r in grid])
@@ -344,10 +317,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_scatter(args) -> int:
-    if args.m < 1:
-        raise UsageError(f"--m must be >= 1, got {args.m}")
-    if not -1.0 <= args.rho <= 1.0:
-        raise UsageError(f"--rho must be in [-1, 1], got {args.rho}")
     sens_ci = _parse_ci("--sens-ci", args.sens_ci)
     spec_ci = _parse_ci("--spec-ci", args.spec_ci)
     draws = scatter_draws(sens_ci, spec_ci, args.rho, args.m, args.seed)
@@ -357,10 +326,7 @@ def _cmd_scatter(args) -> int:
     return 0
 
 
-def _scenario_field(data: dict, name: str, typ):
-    if not isinstance(data, dict) or name not in data:
-        raise UsageError(f"scenario file: missing field {name!r}")
-    value = data[name]
+def _scenario_value(value, typ, name: str):
     if typ is float and isinstance(value, int):
         value = float(value)
     if not isinstance(value, typ):
@@ -371,68 +337,61 @@ def _scenario_field(data: dict, name: str, typ):
     return value
 
 
+def _scenario_field(data: dict, name: str, typ, item=None):
+    """Field ``name`` checked to be a ``typ``; with ``item``, a list whose
+    elements are each checked to be an ``item``, returned as a tuple."""
+    if not isinstance(data, dict) or name not in data:
+        raise UsageError(f"scenario file: missing field {name!r}")
+    value = _scenario_value(data[name], typ, name)
+    if item is None:
+        return value
+    return tuple(_scenario_value(v, item, f"{name}[{i}]") for i, v in enumerate(value))
+
+
 def _load_scenario(path: str, args) -> CoverageScenario:
     try:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read scenario file: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise UsageError(f"scenario file is not valid JSON: {exc}") from None
 
-    true_params = tuple(float(v) for v in _scenario_field(data, "trueParams", list))
-    data_sizes = tuple(int(v) for v in _scenario_field(data, "dataSizes", list))
+    true_params = _scenario_field(data, "trueParams", list, float)
+    data_sizes = _scenario_field(data, "dataSizes", list, int)
     comb_spec = _scenario_field(data, "combiner", dict)
-    if "expr" in comb_spec:
-        try:
-            combiner = Combiner.from_expression(comb_spec["expr"])
-        except ParseError as exc:
-            raise UsageError(f"scenario file: field 'combiner.expr': {exc}") from None
-    elif "builtin" in comb_spec:
-        try:
-            combiner = Combiner.from_name(
-                comb_spec["builtin"], arity=len(true_params)
-            )
-        except DomainError as exc:
-            raise UsageError(
-                f"scenario file: field 'combiner.builtin': {exc}"
-            ) from None
-    else:
+    kind = next((k for k in ("expr", "builtin") if k in comb_spec), None)
+    if kind is None:
         raise UsageError("scenario file: field 'combiner' needs 'expr' or 'builtin'")
-    try:
-        sigma = validate_correlation_matrix(_scenario_field(data, "sigma", list))
-    except InvalidCorrelationError as exc:
-        raise UsageError(f"scenario file: field 'sigma': {exc}") from None
-
-    trials = args.trials if args.trials is not None else data.get("trials")
+    combiner = _combiner(
+        kind,
+        comb_spec[kind],
+        len(true_params),
+        f"scenario file: field 'combiner.{kind}'",
+    )
+    raw_sigma = _scenario_field(data, "sigma", list)
+    with _naming("scenario file: field 'sigma'"):
+        sigma = validate_correlation_matrix(raw_sigma)
+    trials = args.trials
     if trials is None:
-        raise UsageError("scenario file: missing field 'trials' (or pass --trials)")
-    if trials < 1:
-        raise UsageError(f"trials must be >= 1, got {trials}")
-    if args.threads < 1:
-        raise UsageError(f"threads must be >= 1, got {args.threads}")
-    try:
-        config = BootstrapConfig(
-            n=int(_scenario_field(data, "n", int)),
-            seed=args.seed,
-            method=_scenario_field(data, "method", str),
-            level=_scenario_field(data, "level", float),
-            threads=args.threads,
-        )
-        true_combined = float(
-            combiner(np.asarray(true_params, dtype=float)[None, :])[0]
-        )
-        return CoverageScenario(
-            true_params=true_params,
-            data_sizes=data_sizes,
-            combiner=combiner,
-            true_combined=true_combined,
-            sigma=sigma,
-            config=config,
-            trials=int(trials),
-        )
-    except DomainError as exc:
-        raise UsageError(f"scenario file: {exc}") from None
+        trials = _scenario_field(data, "trials", int)
+
+    config = BootstrapConfig(
+        n=_scenario_field(data, "n", int),
+        seed=args.seed,
+        method=_scenario_field(data, "method", str),
+        level=_scenario_field(data, "level", float),
+        threads=args.threads,
+    )
+    return CoverageScenario(
+        true_params=true_params,
+        data_sizes=data_sizes,
+        combiner=combiner,
+        true_combined=float(combiner(np.asarray(true_params)[None, :])[0]),
+        sigma=sigma,
+        config=config,
+        trials=trials,
+    )
 
 
 def _cmd_coverage(args) -> int:
@@ -543,12 +502,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.time()
     try:
         code = args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CopulabootError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_NUMERICAL
     log.info("completed in %.2fs", time.time() - started)
     return code
 

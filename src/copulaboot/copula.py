@@ -62,7 +62,12 @@ def validate_correlation_matrix(raw) -> CorrelationMatrix:
     diagonal, off-diagonals in [-1, 1], and positive semi-definiteness (min
     eigenvalue >= -1e-10). The error names the first violated invariant.
     """
-    m = np.array(raw, dtype=float)
+    try:
+        m = np.array(raw, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows or non-numeric entries
+        raise InvalidCorrelationError(
+            f"matrix must be equal-length rows of numbers: {exc}"
+        ) from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidCorrelationError(f"matrix must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -70,17 +75,19 @@ def validate_correlation_matrix(raw) -> CorrelationMatrix:
     if not np.array_equal(m, m.T):
         i, j = np.argwhere(m != m.T)[0]
         raise InvalidCorrelationError(
-            f"matrix is not symmetric: entry ({i},{j})={m[i, j]!r} "
-            f"vs ({j},{i})={m[j, i]!r}"
+            f"matrix is not symmetric: entry ({i},{j})={float(m[i, j])!r} "
+            f"vs ({j},{i})={float(m[j, i])!r}"
         )
     diag = np.diag(m)
     if not np.all(diag == 1.0):
         i = int(np.argwhere(diag != 1.0)[0][0])
-        raise InvalidCorrelationError(f"diagonal not unit: entry ({i},{i})={diag[i]!r}")
+        raise InvalidCorrelationError(
+            f"diagonal not unit: entry ({i},{i})={float(diag[i])!r}"
+        )
     if np.any(np.abs(m) > 1.0):
         i, j = np.argwhere(np.abs(m) > 1.0)[0]
         raise InvalidCorrelationError(
-            f"correlation out of [-1, 1]: entry ({i},{j})={m[i, j]!r}"
+            f"correlation out of [-1, 1]: entry ({i},{j})={float(m[i, j])!r}"
         )
     min_eig = float(np.linalg.eigvalsh(m)[0])
     if min_eig < -PSD_TOL:

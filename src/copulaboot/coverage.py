@@ -50,6 +50,10 @@ class CoverageScenario:
             raise DomainError("scenario dimensions are inconsistent")
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
+        if not all(0.0 <= p <= 1.0 for p in self.true_params):
+            raise DomainError(f"trueParams must lie in [0, 1], got {self.true_params}")
+        if not all(isinstance(k, (int, np.integer)) and k > 0 for k in self.data_sizes):
+            raise DomainError(f"dataSizes must be integers >= 1, got {self.data_sizes}")
         check = float(
             self.combiner(np.asarray(self.true_params, dtype=float)[None, :])[0]
         )

@@ -24,7 +24,7 @@ from .copula import (
     _draw_uniform_block,
 )
 from .distributions import quantile
-from .errors import DomainError, NonFiniteDrawError
+from .errors import CopulabootError, DomainError, NonFiniteDrawError
 from .exprlang import Expr, eval_expression, free_variables, parse_expression
 from .fitting import FittedDistribution
 from .rng import RngStream
@@ -119,6 +119,11 @@ class Combiner:
         self.label = label
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        if x.shape[1] != self.arity:
+            raise DomainError(
+                f"combiner {self.label!r} takes {self.arity} values per draw, "
+                f"got {x.shape[1]}"
+            )
         return self.fn(x)
 
     @classmethod
@@ -268,7 +273,7 @@ def boot_comb(
     d = len(marginals)
     if sigma.d != d:
         raise DomainError(
-            f"dimension mismatch: {d} marginals but {sigma.d}x{sigma.d} matrix"
+            f"dimension mismatch: {d} marginals but sigma is {sigma.d}x{sigma.d}"
         )
     if combiner.arity != d:
         raise DomainError(
@@ -304,7 +309,7 @@ def boot_comb(
         idx = int(np.argmin(finite))
         # re-derive the inputs of the offending draw for the error message
         x = _combine_chunk(marginals, factor, rng_base, idx, idx + 1)
-        raise NonFiniteDrawError(idx, x[0].tolist(), values[idx])
+        raise NonFiniteDrawError(idx, x[0].tolist(), float(values[idx]))
 
     dropped = 0
     kept_values = values
@@ -313,7 +318,8 @@ def boot_comb(
         keep = (values > valid_range[0]) & (values < valid_range[1])
         dropped = int(n - np.count_nonzero(keep))
         if n - dropped < MIN_DRAWS:
-            raise DomainError(
+            # a sampled outcome, not a bad input, so not a DomainError
+            raise CopulabootError(
                 f"only {n - dropped} of {n} combined values fall inside "
                 f"{valid_range}; too few for a stable interval"
             )

@@ -84,6 +84,13 @@ class PrevAdjustRequest:
         _check_ci("specCI", self.spec_ci)
         if self.sigma.d != 3:
             raise DomainError(f"sigma must be 3x3, got {self.sigma.d}x{self.sigma.d}")
+        if self.point_estimates is not None:
+            if not all(0.0 <= v <= 1.0 for v in self.point_estimates):
+                raise DomainError(
+                    "point estimates (prev, sens, spec) must be finite and in "
+                    f"[0, 1], got {self.point_estimates}"
+                )
+            rogan_gladen(*self.point_estimates)  # raises on an uninformative test
 
 
 @dataclass(frozen=True)
@@ -150,12 +157,14 @@ def rho_sweep(
 
     Row i runs on the stream (config.seed, i) so each row is independently
     reproducible; the row at grid index 0 with rho=0 coincides exactly with
-    ``adjust_prevalence`` under the identity matrix.
+    ``adjust_prevalence`` under the identity matrix. Every rho is checked
+    before the first row runs.
     """
+    for rho in rho_grid:
+        if not -1.0 <= rho <= 1.0:
+            raise DomainError(f"rho must be in [-1, 1], got {rho}")
     rows = []
     for i, rho in enumerate(rho_grid):
-        if not -1.0 <= rho <= 1.0:
-            raise DomainError(f"correlation must be in [-1, 1], got {rho}")
         row_req = replace(req, sigma=sens_spec_sigma(rho))
         est = adjust_prevalence(row_req, stream_id=i)
         rows.append(
@@ -175,7 +184,9 @@ def scatter_draws(
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     if not -1.0 <= rho <= 1.0:
-        raise DomainError(f"correlation must be in [-1, 1], got {rho}")
+        raise DomainError(f"rho must be in [-1, 1], got {rho}")
+    _check_ci("sensCI", sens_ci)
+    _check_ci("specCI", spec_ci)
     marginals = [
         fit_from_quantiles("beta", QuantileConstraint(*ci))
         for ci in (sens_ci, spec_ci)

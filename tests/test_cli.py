@@ -29,6 +29,26 @@ PREV_ARGS = [
 ]
 
 
+SCENARIO = {
+    "trueParams": [0.035, 0.045],
+    "dataSizes": [2000, 1500],
+    "combiner": {"expr": "x1*x2"},
+    "sigma": [[1, 0], [0, 1]],
+    "n": 2000,
+    "method": "percentile",
+    "level": 0.95,
+    "trials": 5,
+}
+
+
+def write_scenario(tmp_path, **overrides):
+    """A scenario file with fields overridden; an override of None drops the field."""
+    data = {k: v for k, v in {**SCENARIO, **overrides}.items() if v is not None}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -254,24 +274,8 @@ class TestScatter:
 
 
 class TestCoverageCmd:
-    def write_scenario(self, tmp_path, **overrides):
-        data = {
-            "trueParams": [0.035, 0.045],
-            "dataSizes": [2000, 1500],
-            "combiner": {"expr": "x1*x2"},
-            "sigma": [[1, 0], [0, 1]],
-            "n": 2000,
-            "method": "percentile",
-            "level": 0.95,
-            "trials": 5,
-        }
-        data.update(overrides)
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(data))
-        return str(path)
-
     def test_runs_and_reports(self, capsys, tmp_path):
-        path = self.write_scenario(tmp_path)
+        path = write_scenario(tmp_path)
         code, out = run_cli(["coverage", "--scenario", path, "--seed", "3"], capsys)
         assert code == 0
         obj = json.loads(out)
@@ -279,27 +283,27 @@ class TestCoverageCmd:
         assert 0.0 <= obj["coverage"] <= 1.0
 
     def test_deterministic_repeat(self, capsys, tmp_path):
-        path = self.write_scenario(tmp_path)
+        path = write_scenario(tmp_path)
         _, a = run_cli(["coverage", "--scenario", path, "--seed", "3"], capsys)
         _, b = run_cli(["coverage", "--scenario", path, "--seed", "3"], capsys)
         assert a == b
 
     def test_trials_zero_exits_2(self, capsys, tmp_path):
-        path = self.write_scenario(tmp_path)
+        path = write_scenario(tmp_path)
         code, _ = run_cli(
             ["coverage", "--scenario", path, "--trials", "0"], capsys
         )
         assert code == 2
 
     def test_threads_zero_exits_2(self, capsys, tmp_path):
-        path = self.write_scenario(tmp_path)
+        path = write_scenario(tmp_path)
         code, _ = run_cli(
             ["coverage", "--scenario", path, "--threads", "0"], capsys
         )
         assert code == 2
 
     def test_malformed_scenario_names_field(self, capsys, tmp_path):
-        path = self.write_scenario(tmp_path)
+        path = write_scenario(tmp_path)
         data = json.loads(open(path).read())
         del data["sigma"]
         open(path, "w").write(json.dumps(data))
@@ -307,7 +311,7 @@ class TestCoverageCmd:
         assert code == 2
 
     def test_bad_expr_in_scenario(self, capsys, tmp_path):
-        path = self.write_scenario(tmp_path, combiner={"expr": "x1 **"})
+        path = write_scenario(tmp_path, combiner={"expr": "x1 **"})
         code, _ = run_cli(["coverage", "--scenario", path], capsys)
         assert code == 2
 
@@ -316,3 +320,122 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# Exit-code matrix: every failure is one "error:" line on stderr and exit 2
+# (a ValueError: bad input, raised before any sampling) or 3 (a failure of the
+# numerics or of the sampled draws). A dict in argv is written out as a
+# scenario file with those fields overridden (None drops a field); bytes are
+# written out as the file itself.
+D2 = ["--dist", "beta:0.027:0.050", "--dist", "beta:0.036:0.057"]
+COMBINE = ["combine", *D2, "--expr", "x1*x2", "--n", "1000"]
+CIS = [
+    "--prev-ci", "0.136,0.204", "--sens-ci", "0.837,0.918", "--spec-ci", "0.857,0.975"
+]
+PREV = ["adjust-prev", *CIS, "--n", "2000"]
+SWEEP = ["sweep", *CIS, "--rho-from", "0", "--rho-to", "-0.5", "--steps", "2"]
+SCATTER = ["scatter", "--sens-ci", "0.837,0.918", "--spec-ci", "0.857,0.975"]
+
+
+def cov(**overrides):
+    return ["coverage", "--scenario", overrides]
+
+
+EXIT_CODES = {
+    # combine: marginals
+    "dist_parts": (["combine", "--dist", "beta:0.1", "--expr", "x1"], 2),
+    "dist_number": (["combine", "--dist", "beta:0.1:x", "--expr", "x1"], 2),
+    "dist_family": (["combine", "--dist", "foo:0.1:0.2", "--expr", "x1"], 2),
+    "dist_order": (["combine", "--dist", "beta:0.5:0.4", "--expr", "x1"], 2),
+    "dist_support": (["combine", "--dist", "beta:0.5:1.2", "--expr", "x1"], 2),
+    "dist_nan": (["combine", "--dist", "beta:nan:0.2", "--expr", "x1"], 2),
+    "dist_alphas": (["combine", "--dist", "beta:0.1:0.2:0.9:0.1", "--expr", "x1"], 2),
+    "dist_fit": (["combine", "--dist", "beta:0.5:0.500000000000001", "--expr", "x1"], 3),
+    "no_dist": (["combine", "--expr", "x1"], 2),
+    # combine: combiner and matrix
+    "expr_and_combiner": ([*COMBINE, "--combiner", "product"], 2),
+    "no_combiner": (["combine", *D2], 2),
+    "expr_parse": (["combine", *D2, "--expr", "x1 +* x2"], 2),
+    "expr_arity": (["combine", *D2, "--expr", "x1*x2*x3"], 2),
+    "combiner_name": (["combine", *D2, "--combiner", "foo"], 2),
+    "combiner_arity": (["combine", *D2, "--combiner", "identity"], 2),
+    "sigma_number": ([*COMBINE, "--sigma", "1,x;x,1"], 2),
+    "sigma_ragged": ([*COMBINE, "--sigma", "1,0;0"], 2),
+    "sigma_asymmetric": ([*COMBINE, "--sigma", "1,0.5;0.4,1"], 2),
+    "sigma_range": ([*COMBINE, "--sigma", "1,2;2,1"], 2),
+    "sigma_dimension": ([*COMBINE, "--sigma", "1,0,0;0,1,0;0,0,1"], 2),
+    # run limits
+    "n_small": ([*COMBINE, "--n", "5"], 2),
+    "level_range": ([*COMBINE, "--level", "1.5"], 2),
+    "level_nan": ([*COMBINE, "--level", "nan"], 2),
+    "threads_zero": ([*COMBINE, "--threads", "0"], 2),
+    "chunk_zero": ([*COMBINE, "--chunk-size", "0"], 2),
+    "nonfinite_draw": (["combine", "--dist", "beta:0.2:0.4", "--expr", "log(x1-1)",
+                        "--n", "1000"], 3),
+    # adjust-prev
+    "prev_ci_order": ([*PREV, "--prev-ci", "0.2,0.1"], 2),
+    "prev_ci_format": ([*PREV, "--prev-ci", "0.2"], 2),
+    "sens_ci_zero": ([*PREV, "--sens-ci", "0,0.5"], 2),
+    "points_partial": ([*PREV, "--prev", "0.168"], 2),
+    "rho_sens_spec": ([*PREV, "--rho-sens-spec", "1.5"], 2),
+    "rho_sens_spec_nan": ([*PREV, "--rho-sens-spec", "nan"], 2),
+    "prev_sigma_dimension": ([*PREV, "--sigma", "1,0;0,1"], 2),
+    "prev_n": ([*PREV, "--n", "5"], 2),
+    "point_nan": ([*PREV, "--prev", "nan", "--sens", "0.88", "--spec", "0.93"], 2),
+    "point_range": ([*PREV, "--prev", "5", "--sens", "0.88", "--spec", "0.93"], 2),
+    "points_uninformative": (
+        [*PREV, "--prev", "0.168", "--sens", "0.3", "--spec", "0.3"], 2
+    ),
+    "draws_uninformative": ([*PREV, "--sens-ci", "0.3,0.6", "--spec-ci", "0.3,0.6"], 3),
+    "valid_range_shortfall": ([*PREV, "--n", "1000"], 3),
+    # sweep and scatter
+    "sweep_rho_to": ([*SWEEP, "--rho-to", "1.5"], 2),
+    "sweep_rho_from_nan": ([*SWEEP, "--rho-from", "nan"], 2),
+    "sweep_steps": ([*SWEEP, "--steps", "-1"], 2),
+    "sweep_ci": ([*SWEEP, "--spec-ci", "0.9,0.8"], 2),
+    "scatter_m": ([*SCATTER, "--rho", "0", "--m", "0"], 2),
+    "scatter_rho": ([*SCATTER, "--rho", "1.5"], 2),
+    "scatter_ci_order": ([*SCATTER, "--rho", "0", "--sens-ci", "0.9,0.8"], 2),
+    "scatter_ci_format": ([*SCATTER, "--rho", "0", "--spec-ci", "x,0.9"], 2),
+    # coverage scenario files
+    "scenario_unreadable": (["coverage", "--scenario", "no-such-scenario.json"], 2),
+    "scenario_json": (["coverage", "--scenario", b"{"], 2),
+    "scenario_missing_field": (cov(sigma=None), 2),
+    "scenario_trials_zero": (cov(trials=0), 2),
+    "scenario_trials_flag": ([*cov(), "--trials", "0"], 2),
+    "scenario_threads_flag": ([*cov(), "--threads", "0"], 2),
+    "scenario_expr": (cov(combiner={"expr": "x1 **"}), 2),
+    "scenario_builtin": (cov(combiner={"builtin": "foo"}), 2),
+    "scenario_combiner_kind": (cov(combiner={}), 2),
+    "scenario_sigma": (cov(sigma=[[1, 2], [2, 1]]), 2),
+    "scenario_dimensions": (cov(dataSizes=[2000, 1500, 10]), 2),
+    "scenario_n": (cov(n=5), 2),
+    "scenario_level": (cov(level="x"), 2),
+    "scenario_trials_str": (cov(trials="5"), 2),
+    "scenario_trials_float": (cov(trials=2.5), 2),
+    "scenario_params_str": (cov(trueParams=["a", 0.1]), 2),
+    "scenario_params_range": (cov(trueParams=[1.5, 0.1]), 2),
+    "scenario_sizes_negative": (cov(dataSizes=[-5, 1500]), 2),
+    "scenario_sizes_float": (cov(dataSizes=[2000.7, 1500]), 2),
+    "scenario_expr_type": (cov(combiner={"expr": 5}), 2),
+    "scenario_expr_arity": (cov(combiner={"expr": "x1*x2*x3"}), 2),
+    "scenario_trials_excluded": (cov(dataSizes=[1, 1]), 3),
+}
+
+
+@pytest.mark.parametrize("case", list(EXIT_CODES))
+def test_exit_code(case, capsys, tmp_path):
+    argv, expected = EXIT_CODES[case]
+    argv = list(argv)
+    path = tmp_path / "scenario.json"
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            argv[i] = write_scenario(tmp_path, **arg)
+        elif isinstance(arg, bytes):
+            path.write_bytes(arg)
+            argv[i] = str(path)
+    assert main(argv) == expected
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1

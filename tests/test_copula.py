@@ -105,8 +105,9 @@ class TestValidate:
             validate_correlation_matrix([[1.0, 0.3], [0.4, 1.0]])
 
     def test_out_of_range(self):
-        with pytest.raises(InvalidCorrelationError, match="out of"):
+        with pytest.raises(InvalidCorrelationError, match="out of") as exc:
             validate_correlation_matrix([[1.0, 1.5], [1.5, 1.0]])
+        assert str(exc.value).endswith("entry (0,1)=1.5")  # no np.float64(...)
 
     def test_not_psd(self):
         m = [[1, 0.9, -0.9], [0.9, 1, 0.9], [-0.9, 0.9, 1]]
@@ -116,6 +117,11 @@ class TestValidate:
     def test_not_square(self):
         with pytest.raises(InvalidCorrelationError, match="square"):
             validate_correlation_matrix([[1.0, 0.0]])
+
+    @pytest.mark.parametrize("raw", [[[1.0, 0.0], [0.0]], [["a"]], [[{}]]])
+    def test_not_numbers(self, raw):
+        with pytest.raises(InvalidCorrelationError, match="equal-length rows"):
+            validate_correlation_matrix(raw)
 
     def test_non_finite(self):
         with pytest.raises(InvalidCorrelationError, match="finite"):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -51,6 +53,27 @@ class TestScenarioValidation:
                 data_sizes=(100, 100),
                 combiner=Combiner.product(2),
                 true_combined=0.5,
+                sigma=validate_correlation_matrix(np.eye(2)),
+                config=BootstrapConfig(n=1000),
+                trials=10,
+            )
+
+    @pytest.mark.parametrize(
+        "params, sizes, match",
+        [
+            ((1.5, 0.2), (100, 100), "trueParams"),
+            ((math.nan, 0.2), (100, 100), "trueParams"),
+            ((0.1, 0.2), (-5, 100), "dataSizes"),
+            ((0.1, 0.2), (100.5, 100), "dataSizes"),
+        ],
+    )
+    def test_params_and_sizes_checked(self, params, sizes, match):
+        with pytest.raises(DomainError, match=match):
+            CoverageScenario(
+                true_params=params,
+                data_sizes=sizes,
+                combiner=Combiner.sum(2),
+                true_combined=sum(params),
                 sigma=validate_correlation_matrix(np.eye(2)),
                 config=BootstrapConfig(n=1000),
                 trials=10,

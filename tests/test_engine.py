@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from copulaboot import (
     BootstrapConfig,
     Combiner,
+    CopulabootError,
     DomainError,
     NonFiniteDrawError,
     QuantileConstraint,
@@ -152,6 +153,8 @@ class TestBootComb:
                 Combiner.product(3),
                 config,
             )
+        with pytest.raises(DomainError, match="takes 3 values per draw, got 2"):
+            Combiner.product(3)(np.ones((4, 2)))
 
     def test_nonfinite_abort_names_index(self, hdv_marginals):
         config = BootstrapConfig(n=1000, seed=1)
@@ -161,6 +164,7 @@ class TestBootComb:
             boot_comb(hdv_marginals, sigma, bad, config)
         assert exc.value.index >= 0
         assert len(exc.value.inputs) == 2
+        assert "np.float64" not in str(exc.value)
 
     def test_determinism_repeated_runs(self, hdv_marginals):
         sigma = validate_correlation_matrix([[1, 0.5], [0.5, 1]])
@@ -315,3 +319,12 @@ class TestBootComb:
         assert dropped == pytest.approx(50_000, abs=1500)  # half the mass is negative
         assert est.sample.values.size == 100_000 - dropped
         assert np.all(est.sample.values > 0)
+
+    def test_valid_range_shortfall_is_not_an_input_error(self):
+        # too few kept draws is a sampled outcome, so not a ValueError (exit 3)
+        m = fit_from_quantiles("normal", QuantileConstraint(-Z_975, Z_975))
+        sigma = validate_correlation_matrix(np.eye(1))
+        config = BootstrapConfig(n=1000, seed=5)
+        with pytest.raises(CopulabootError, match="too few") as exc:
+            boot_comb([m], sigma, Combiner.identity(), config, valid_range=(0.0, 1.0))
+        assert not isinstance(exc.value, ValueError)

@@ -91,6 +91,25 @@ class TestRequestValidation:
                 config=BootstrapConfig(n=1000),
             )
 
+    @pytest.mark.parametrize(
+        "points, match",
+        [
+            ((math.nan, 0.88, 0.93), "finite and in"),
+            ((5.0, 0.88, 0.93), "finite and in"),
+            ((0.168, 0.3, 0.3), "uninformative"),
+        ],
+    )
+    def test_point_estimates_checked(self, points, match):
+        with pytest.raises(DomainError, match=match):
+            PrevAdjustRequest(
+                prev_ci=PREV_CI,
+                sens_ci=SENS_CI,
+                spec_ci=SPEC_CI,
+                sigma=sens_spec_sigma(0.0),
+                config=BootstrapConfig(n=1000),
+                point_estimates=points,
+            )
+
     def test_sigma_dimension_checked(self):
         from copulaboot import validate_correlation_matrix
 
@@ -190,6 +209,14 @@ class TestRhoSweep:
         with pytest.raises(DomainError):
             rho_sweep(req, [1.5])
 
+    def test_grid_checked_before_any_row(self, monkeypatch):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row ran before the grid was checked")
+
+        monkeypatch.setattr("copulaboot.prevalence.adjust_prevalence", no_rows)
+        with pytest.raises(DomainError, match="rho"):
+            rho_sweep(make_request(n=10_000), [0.0, -0.5, 1.5])
+
     def test_rows_independently_reproducible(self):
         req = make_request(n=10_000)
         grid = [0.0, -0.3, -0.6]
@@ -233,3 +260,7 @@ class TestScatterDraws:
     def test_m_validation(self):
         with pytest.raises(DomainError):
             scatter_draws(SENS_CI, SPEC_CI, rho=0.0, m=0, seed=123)
+
+    def test_ci_validation_names_the_ci(self):
+        with pytest.raises(DomainError, match="specCI"):
+            scatter_draws(SENS_CI, (0.5, 1.5), rho=0.0, m=10, seed=123)
