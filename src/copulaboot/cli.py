@@ -20,7 +20,7 @@ import logging
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,7 +59,7 @@ Scenario files for the coverage command are JSON objects with fields:
   sigma       nested row-major list, e.g. [[1,0],[0,1]]
   n           bootstrap draws per trial
   method      "percentile" or "hdi"
-  level       confidence level in (0,1)
+  level       bootstrap interval level in (0,1); simulated input CIs are 95%
   trials      number of Monte-Carlo trials (overridable with --trials)
 """
 
@@ -73,14 +73,15 @@ def _naming(name: str):
     """Prefix an error raised inside with the flag or field it came from.
 
     A library error keeps its type, and with it its exit code; a plain
-    ``ValueError`` (a number that does not parse) becomes a ``UsageError``.
+    ``ValueError`` (a number or JSON that does not parse) or an ``OSError``
+    (a file that cannot be opened) becomes a ``UsageError``.
     """
     try:
         yield
     except CopulabootError as exc:
         exc.args = (f"{name}: {exc}",)
         raise
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"{name}: {exc}") from None
 
 
@@ -140,13 +141,10 @@ def _add_common_config(p: argparse.ArgumentParser):
     )
 
 
-def _add_prev_args(p: argparse.ArgumentParser):
+def _add_prev_cis(p: argparse.ArgumentParser):
     p.add_argument("--prev-ci", required=True, metavar="L,U")
     p.add_argument("--sens-ci", required=True, metavar="L,U")
     p.add_argument("--spec-ci", required=True, metavar="L,U")
-    p.add_argument("--prev", type=float, help="apparent prevalence point estimate")
-    p.add_argument("--sens", type=float, help="sensitivity point estimate")
-    p.add_argument("--spec", type=float, help="specificity point estimate")
 
 
 def _make_config(args, return_boot_vals=False) -> BootstrapConfig:
@@ -205,14 +203,13 @@ def _emit(obj: dict, out_format: str):
         writer.writerow(repr(v) if isinstance(v, float) else v for v in flat.values())
 
 
-def _dump_boot_vals(path: str, est: CombinedEstimate):
+def _dump_boot_vals(fh, est: CombinedEstimate):
     sample = est.sample
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        d = sample.input_draws.shape[1]
-        writer.writerow([f"x{i + 1}" for i in range(d)] + ["combined"])
-        for row, v in zip(sample.input_draws, sample.values):
-            writer.writerow([repr(float(c)) for c in row] + [repr(float(v))])
+    writer = csv.writer(fh)
+    d = sample.input_draws.shape[1]
+    writer.writerow([f"x{i + 1}" for i in range(d)] + ["combined"])
+    for row, v in zip(sample.input_draws, sample.values):
+        writer.writerow([repr(float(c)) for c in row] + [repr(float(v))])
 
 
 def _cmd_combine(args) -> int:
@@ -232,9 +229,14 @@ def _cmd_combine(args) -> int:
         combiner = _combiner("builtin", args.combiner, d, "--combiner")
 
     config = _make_config(args, return_boot_vals=args.boot_vals is not None)
-    est = boot_comb(marginals, sigma, combiner, config)
+    fh = nullcontext()
     if args.boot_vals is not None:
-        _dump_boot_vals(args.boot_vals, est)
+        with _naming("--boot-vals"):  # opened before any draw is sampled
+            fh = open(args.boot_vals, "w", newline="")
+    with fh:
+        est = boot_comb(marginals, sigma, combiner, config)
+        if args.boot_vals is not None:
+            _dump_boot_vals(fh, est)
 
     manifest = _manifest(
         args,
@@ -257,35 +259,29 @@ def _cmd_combine(args) -> int:
     return 0
 
 
-def _prev_request(args) -> PrevAdjustRequest:
-    prev_ci = _parse_ci("--prev-ci", args.prev_ci)
-    sens_ci = _parse_ci("--sens-ci", args.sens_ci)
-    spec_ci = _parse_ci("--spec-ci", args.spec_ci)
-    points = None
-    if any(v is not None for v in (args.prev, args.sens, args.spec)):
-        if None in (args.prev, args.sens, args.spec):
-            raise UsageError("--prev, --sens and --spec must be given together")
-        points = (args.prev, args.sens, args.spec)
+def _prev_request(args, sigma: CorrelationMatrix, points=None) -> PrevAdjustRequest:
     return PrevAdjustRequest(
-        prev_ci=prev_ci,
-        sens_ci=sens_ci,
-        spec_ci=spec_ci,
-        sigma=_prev_sigma(args),
+        prev_ci=_parse_ci("--prev-ci", args.prev_ci),
+        sens_ci=_parse_ci("--sens-ci", args.sens_ci),
+        spec_ci=_parse_ci("--spec-ci", args.spec_ci),
+        sigma=sigma,
         config=_make_config(args),
         point_estimates=points,
     )
 
 
 def _prev_sigma(args) -> CorrelationMatrix:
-    if getattr(args, "sigma", None) is not None:
+    if args.sigma is not None:
         return _parse_sigma(args.sigma)
-    rho = getattr(args, "rho_sens_spec", None)
     with _naming("--rho-sens-spec"):
-        return sens_spec_sigma(0.0 if rho is None else rho)
+        return sens_spec_sigma(args.rho_sens_spec)
 
 
 def _cmd_adjust_prev(args) -> int:
-    req = _prev_request(args)
+    points = (args.prev, args.sens, args.spec)
+    if points.count(None) not in (0, 3):
+        raise UsageError("--prev, --sens and --spec must be given together")
+    req = _prev_request(args, _prev_sigma(args), None if None in points else points)
     est = adjust_prevalence(req)
     points = list(req.point_estimates) if req.point_estimates else None
     manifest = _manifest(
@@ -305,7 +301,7 @@ def _cmd_adjust_prev(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.steps < 0:
         raise UsageError(f"--steps must be >= 0, got {args.steps}")
-    req = _prev_request(args)
+    req = _prev_request(args, sens_spec_sigma(0.0))  # rows take rho from the grid
     grid = np.linspace(args.rho_from, args.rho_to, args.steps + 1)
     rows = rho_sweep(req, [float(r) for r in grid])
     print("rho,low,upp,width")
@@ -327,9 +323,10 @@ def _cmd_scatter(args) -> int:
 
 
 def _scenario_value(value, typ, name: str):
-    if typ is float and isinstance(value, int):
+    if typ is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if not isinstance(value, typ):
+    # bool is an int subclass, but a JSON true is no number
+    if isinstance(value, bool) or not isinstance(value, typ):
         raise UsageError(
             f"scenario file: field {name!r} must be {typ.__name__}, "
             f"got {type(value).__name__}"
@@ -349,13 +346,8 @@ def _scenario_field(data: dict, name: str, typ, item=None):
 
 
 def _load_scenario(path: str, args) -> CoverageScenario:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read scenario file: {exc}") from None
-    except ValueError as exc:  # malformed JSON or text that is not UTF-8
-        raise UsageError(f"scenario file is not valid JSON: {exc}") from None
+    with _naming("scenario file"), open(path) as fh:
+        data = json.load(fh)
 
     true_params = _scenario_field(data, "trueParams", list, float)
     data_sizes = _scenario_field(data, "dataSizes", list, int)
@@ -452,13 +444,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "adjust-prev", help="adjust a prevalence for test sensitivity/specificity"
     )
-    _add_prev_args(p)
-    p.add_argument(
+    _add_prev_cis(p)
+    p.add_argument("--prev", type=float, help="apparent prevalence point estimate")
+    p.add_argument("--sens", type=float, help="sensitivity point estimate")
+    p.add_argument("--spec", type=float, help="specificity point estimate")
+    dependence = p.add_mutually_exclusive_group()
+    dependence.add_argument(
         "--rho-sens-spec",
         type=float,
+        default=0.0,
         help="sensitivity/specificity correlation (builds the 3x3 matrix)",
     )
-    p.add_argument("--sigma", help="full 3x3 correlation matrix (order prev,sens,spec)")
+    dependence.add_argument(
+        "--sigma", help="full 3x3 correlation matrix (order prev,sens,spec)"
+    )
     p.add_argument("--out", choices=["json", "csv"], default="json")
     _add_common_config(p)
     p.set_defaults(func=_cmd_adjust_prev)
@@ -466,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep", help="interval width as a function of sens/spec correlation"
     )
-    _add_prev_args(p)
+    _add_prev_cis(p)
     p.add_argument("--rho-from", type=float, required=True)
     p.add_argument("--rho-to", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)

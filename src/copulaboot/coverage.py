@@ -32,6 +32,11 @@ __all__ = [
 MAX_EXCLUDED_FRACTION = 0.01
 
 
+def _is_count(k) -> bool:
+    # bool is an int subclass, but a JSON true is no count
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1
+
+
 @dataclass(frozen=True)
 class CoverageScenario:
     """A coverage experiment: true parameters plus the simulated data model."""
@@ -48,11 +53,11 @@ class CoverageScenario:
         d = len(self.true_params)
         if len(self.data_sizes) != d or self.sigma.d != d or self.combiner.arity != d:
             raise DomainError("scenario dimensions are inconsistent")
-        if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials}")
+        if not _is_count(self.trials):
+            raise DomainError(f"trials must be an integer >= 1, got {self.trials}")
         if not all(0.0 <= p <= 1.0 for p in self.true_params):
             raise DomainError(f"trueParams must lie in [0, 1], got {self.true_params}")
-        if not all(isinstance(k, (int, np.integer)) and k > 0 for k in self.data_sizes):
+        if not all(_is_count(k) for k in self.data_sizes):
             raise DomainError(f"dataSizes must be integers >= 1, got {self.data_sizes}")
         check = float(
             self.combiner(np.asarray(self.true_params, dtype=float)[None, :])[0]
@@ -96,6 +101,10 @@ def clopper_pearson(
 def run_coverage(scenario: CoverageScenario, master_seed: int) -> CoverageResult:
     """Run the coverage experiment; trials use seeds derived from (master, index).
 
+    Each trial's input CIs are 95% Clopper-Pearson intervals, the level the
+    beta fit's default (0.025, 0.975) quantile constraint assumes;
+    ``config.level`` sets only the level of the bootstrap interval.
+
     Trials whose simulated CI cannot be fitted (e.g. zero successes, giving
     a degenerate interval) are excluded with a count; more than 1% exclusions
     fails the run.
@@ -114,7 +123,7 @@ def run_coverage(scenario: CoverageScenario, master_seed: int) -> CoverageResult
             marginals = []
             for i in range(d):
                 k = int(data_rng.binomial(scenario.data_sizes[i], scenario.true_params[i]))
-                low, upp = clopper_pearson(k, scenario.data_sizes[i], scenario.config.level)
+                low, upp = clopper_pearson(k, scenario.data_sizes[i])
                 if low <= 0.0 or upp >= 1.0:
                     raise FitError("degenerate simulated confidence interval")
                 marginals.append(

@@ -96,10 +96,10 @@ def _rogan_gladen_raw(x: np.ndarray) -> np.ndarray:
     """Untruncated Rogan-Gladen (prev + (spec - 1))/(sens + (spec - 1)) per draw.
 
     Columns are (prev, sens, spec). Subtracting 1 from spec first (exact
-    for spec >= 1/2) is the more accurate order; it is that of the scalar
-    ``prevalence.rogan_gladen`` and of the parsed expression
-    (prev+(spec-1))/(sens+(spec-1)), so the builtin and expression routes
-    are bit-identical.
+    for spec >= 1/2) is the more accurate order; it is that of the parsed
+    expression (prev+(spec-1))/(sens+(spec-1)), so the builtin and expression
+    routes are bit-identical. This is the package's only copy of the formula:
+    the scalar ``prevalence.rogan_gladen`` computes through it too.
     """
     with np.errstate(all="ignore"):
         spec_m1 = x[:, 2] - 1.0
@@ -283,8 +283,17 @@ def boot_comb(
     factor = factor_correlation(sigma)
     rng_base = RngStream(config.seed, stream_id)
     n = config.n
-    values = np.empty(n)
-    draws = np.empty((n, d)) if config.return_boot_vals else None
+    # allocated before anything else sized by n, so a draw count the machine
+    # cannot hold fails at once; numpy raises MemoryError, or ValueError for
+    # a size past its address space
+    try:
+        values = np.empty(n)
+        draws = np.empty((n, d)) if config.return_boot_vals else None
+    except (MemoryError, ValueError):
+        need = 8 * n * (1 + d if config.return_boot_vals else 1)
+        raise CopulabootError(
+            f"cannot allocate the sample of n={n} draws: it needs {need:,} bytes"
+        ) from None
 
     bounds = [
         (s, min(s + config.chunk_size, n)) for s in range(0, n, config.chunk_size)

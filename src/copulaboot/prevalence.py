@@ -48,12 +48,14 @@ def rogan_gladen(prev_raw: float, sens: float, spec: float) -> float:
         raise DomainError(
             f"uninformative test: sens + spec = {sens + spec} must exceed 1"
         )
-    raw = (prev_raw + (spec - 1.0)) / (sens + (spec - 1.0))
-    return min(max(raw, 0.0), 1.0)
+    x = np.array([[prev_raw, sens, spec]], dtype=float)
+    return float(Combiner.rogan_gladen()(x)[0])
 
 
 def sens_spec_sigma(rho: float) -> CorrelationMatrix:
     """The 3x3 matrix (order prev, sens, spec) with the given sens-spec correlation."""
+    if not -1.0 <= rho <= 1.0:
+        raise DomainError(f"rho must be in [-1, 1], got {rho}")
     return validate_correlation_matrix(
         [[1.0, 0.0, 0.0], [0.0, 1.0, rho], [0.0, rho, 1.0]]
     )
@@ -110,43 +112,40 @@ def _fit_marginals(req: PrevAdjustRequest) -> list[FittedDistribution]:
     ]
 
 
-def _guarded_rogan_gladen() -> Combiner:
-    # raw (untruncated) adjustment; draws landing outside (0, 1) are dropped
-    # by boot_comb via valid_range, which is what reproduces the published
-    # intervals. Aborts when any draw has sens + spec <= 1, since silently
-    # handling such draws would hide mis-specified inputs.
-    def fn(x):
-        bad = int(np.count_nonzero(x[:, 1] + x[:, 2] <= 1.0))
-        if bad:
-            raise UninformativeTestError(
-                f"{bad} sampled draw(s) had sensitivity + specificity <= 1; "
-                "check the sensitivity and specificity intervals",
-                count=bad,
-            )
-        return _rogan_gladen_raw(x)
-
-    return Combiner(fn, 3, "roganGladen")
+def _informative_rogan_gladen(x: np.ndarray) -> np.ndarray:
+    # raw (untruncated) adjustment: boot_comb's valid_range drops draws
+    # outside (0, 1), which reproduces the published intervals. A draw with
+    # sens + spec <= 1 aborts, as it points at mis-specified inputs.
+    bad = int(np.count_nonzero(x[:, 1] + x[:, 2] <= 1.0))
+    if bad:
+        raise UninformativeTestError(
+            f"{bad} sampled draw(s) had sensitivity + specificity <= 1; "
+            "check the sensitivity and specificity intervals",
+            count=bad,
+        )
+    return _rogan_gladen_raw(x)
 
 
-def adjust_prevalence(req: PrevAdjustRequest, stream_id: int = 0) -> CombinedEstimate:
+_GUARDED_ROGAN_GLADEN = Combiner(_informative_rogan_gladen, 3, "roganGladen")
+
+
+def _adjusted_interval(marginals, sigma, config, stream_id: int) -> CombinedEstimate:
+    return boot_comb(
+        marginals, sigma, _GUARDED_ROGAN_GLADEN, config,
+        stream_id=stream_id, valid_range=(0.0, 1.0),
+    )
+
+
+def adjust_prevalence(req: PrevAdjustRequest) -> CombinedEstimate:
     """Bootstrap confidence interval for the Rogan-Gladen adjusted prevalence.
 
     Each draw is adjusted with the raw estimator; draws falling outside
     (0, 1) are excluded before the interval is computed and counted in the
     diagnostics. The reported point estimate uses the truncated estimator.
     """
-    marginals = _fit_marginals(req)
-    est = boot_comb(
-        marginals,
-        req.sigma,
-        _guarded_rogan_gladen(),
-        req.config,
-        stream_id=stream_id,
-        valid_range=(0.0, 1.0),
-    )
+    est = _adjusted_interval(_fit_marginals(req), req.sigma, req.config, 0)
     if req.point_estimates is not None:
-        point = rogan_gladen(*req.point_estimates)
-        est = replace(est, point_estimate=point)
+        est = replace(est, point_estimate=rogan_gladen(*req.point_estimates))
     return est
 
 
@@ -155,18 +154,17 @@ def rho_sweep(
 ) -> list[RhoSweepRow]:
     """Recompute the adjusted-prevalence interval across sens-spec correlations.
 
-    Row i runs on the stream (config.seed, i) so each row is independently
-    reproducible; the row at grid index 0 with rho=0 coincides exactly with
-    ``adjust_prevalence`` under the identity matrix. Every rho is checked
-    before the first row runs.
+    Every rho's matrix is built (and so checked) and the three marginals are
+    fitted once, before row 0. Row i runs on the stream (config.seed, i), so
+    each row is independently reproducible and row 0 at rho=0 equals
+    ``adjust_prevalence`` under the identity matrix. ``req.sigma`` and
+    ``req.point_estimates`` are ignored.
     """
-    for rho in rho_grid:
-        if not -1.0 <= rho <= 1.0:
-            raise DomainError(f"rho must be in [-1, 1], got {rho}")
+    sigmas = [sens_spec_sigma(rho) for rho in rho_grid]
+    marginals = _fit_marginals(req)
     rows = []
-    for i, rho in enumerate(rho_grid):
-        row_req = replace(req, sigma=sens_spec_sigma(rho))
-        est = adjust_prevalence(row_req, stream_id=i)
+    for i, (rho, sigma) in enumerate(zip(rho_grid, sigmas)):
+        est = _adjusted_interval(marginals, sigma, req.config, i)
         rows.append(
             RhoSweepRow(rho=rho, low=est.low, upp=est.upp, width=est.upp - est.low)
         )

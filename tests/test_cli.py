@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import copulaboot
 from copulaboot.cli import main
 
 HDV_ARGS = [
@@ -322,11 +327,22 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
+@pytest.mark.parametrize("argv, expected", [(["--version"], 0), (["combine"], 2)])
+def test_module_entry_point(argv, expected):
+    # `python -m copulaboot.cli` reaches main_entry, which exits with main's code
+    env = {**os.environ, "PYTHONPATH": str(Path(copulaboot.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "copulaboot.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == expected
+
+
 # Exit-code matrix: every failure is one "error:" line on stderr and exit 2
-# (a ValueError: bad input, raised before any sampling) or 3 (a failure of the
-# numerics or of the sampled draws). A dict in argv is written out as a
-# scenario file with those fields overridden (None drops a field); bytes are
-# written out as the file itself.
+# (a ValueError or a command line argparse refuses: bad input, raised before
+# any sampling) or 3 (a failure of the numerics or of the sampled draws). A
+# dict in argv is written out as a scenario file with those fields overridden
+# (None drops a field); bytes are written out as the file itself.
 D2 = ["--dist", "beta:0.027:0.050", "--dist", "beta:0.036:0.057"]
 COMBINE = ["combine", *D2, "--expr", "x1*x2", "--n", "1000"]
 CIS = [
@@ -372,6 +388,9 @@ EXIT_CODES = {
     "chunk_zero": ([*COMBINE, "--chunk-size", "0"], 2),
     "nonfinite_draw": (["combine", "--dist", "beta:0.2:0.4", "--expr", "log(x1-1)",
                         "--n", "1000"], 3),
+    # 2**60 draws: numpy refuses the size before allocating anything
+    "n_unallocatable": ([*COMBINE, "--n", str(2**60), "--threads", "1"], 3),
+    "boot_vals_dir": ([*COMBINE, "--boot-vals", "no-such-dir/x.csv"], 2),
     # adjust-prev
     "prev_ci_order": ([*PREV, "--prev-ci", "0.2,0.1"], 2),
     "prev_ci_format": ([*PREV, "--prev-ci", "0.2"], 2),
@@ -380,6 +399,9 @@ EXIT_CODES = {
     "rho_sens_spec": ([*PREV, "--rho-sens-spec", "1.5"], 2),
     "rho_sens_spec_nan": ([*PREV, "--rho-sens-spec", "nan"], 2),
     "prev_sigma_dimension": ([*PREV, "--sigma", "1,0;0,1"], 2),
+    "prev_sigma_and_rho": (
+        [*PREV, "--sigma", "1,0,0;0,1,0;0,0,1", "--rho-sens-spec", "-0.9"], 2
+    ),
     "prev_n": ([*PREV, "--n", "5"], 2),
     "point_nan": ([*PREV, "--prev", "nan", "--sens", "0.88", "--spec", "0.93"], 2),
     "point_range": ([*PREV, "--prev", "5", "--sens", "0.88", "--spec", "0.93"], 2),
@@ -393,6 +415,7 @@ EXIT_CODES = {
     "sweep_rho_from_nan": ([*SWEEP, "--rho-from", "nan"], 2),
     "sweep_steps": ([*SWEEP, "--steps", "-1"], 2),
     "sweep_ci": ([*SWEEP, "--spec-ci", "0.9,0.8"], 2),
+    "sweep_points": ([*SWEEP, "--prev", "0.168", "--sens", "0.88", "--spec", "0.93"], 2),
     "scatter_m": ([*SCATTER, "--rho", "0", "--m", "0"], 2),
     "scatter_rho": ([*SCATTER, "--rho", "1.5"], 2),
     "scatter_ci_order": ([*SCATTER, "--rho", "0", "--sens-ci", "0.9,0.8"], 2),
@@ -413,10 +436,14 @@ EXIT_CODES = {
     "scenario_level": (cov(level="x"), 2),
     "scenario_trials_str": (cov(trials="5"), 2),
     "scenario_trials_float": (cov(trials=2.5), 2),
+    "scenario_trials_bool": (cov(trials=True), 2),
     "scenario_params_str": (cov(trueParams=["a", 0.1]), 2),
     "scenario_params_range": (cov(trueParams=[1.5, 0.1]), 2),
     "scenario_sizes_negative": (cov(dataSizes=[-5, 1500]), 2),
     "scenario_sizes_float": (cov(dataSizes=[2000.7, 1500]), 2),
+    "scenario_sizes_bool": (cov(dataSizes=[True, 1500]), 2),
+    "scenario_params_bool": (cov(trueParams=[True, 0.1]), 2),
+    "scenario_level_bool": (cov(level=True), 2),
     "scenario_expr_type": (cov(combiner={"expr": 5}), 2),
     "scenario_expr_arity": (cov(combiner={"expr": "x1*x2*x3"}), 2),
     "scenario_trials_excluded": (cov(dataSizes=[1, 1]), 3),
@@ -424,7 +451,7 @@ EXIT_CODES = {
 
 
 @pytest.mark.parametrize("case", list(EXIT_CODES))
-def test_exit_code(case, capsys, tmp_path):
+def test_exit_code(case, capsys, tmp_path, monkeypatch):
     argv, expected = EXIT_CODES[case]
     argv = list(argv)
     path = tmp_path / "scenario.json"
@@ -434,8 +461,15 @@ def test_exit_code(case, capsys, tmp_path):
         elif isinstance(arg, bytes):
             path.write_bytes(arg)
             argv[i] = str(path)
-    assert main(argv) == expected
+    monkeypatch.chdir(tmp_path)  # relative paths name nothing that exists
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
+    assert code == expected
     captured = capsys.readouterr()
     assert captured.out == ""
-    errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+    # argparse prefixes its error line with the program name
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("error: ") or ": error: " in line]
     assert len(errors) == 1

@@ -65,6 +65,7 @@ class TestScenarioValidation:
             ((math.nan, 0.2), (100, 100), "trueParams"),
             ((0.1, 0.2), (-5, 100), "dataSizes"),
             ((0.1, 0.2), (100.5, 100), "dataSizes"),
+            ((0.1, 0.2), (True, 100), "dataSizes"),
         ],
     )
     def test_params_and_sizes_checked(self, params, sizes, match):
@@ -78,6 +79,11 @@ class TestScenarioValidation:
                 config=BootstrapConfig(n=1000),
                 trials=10,
             )
+
+    @pytest.mark.parametrize("trials", [0, True, 2.5])
+    def test_trials_checked(self, trials):
+        with pytest.raises(DomainError, match="trials"):
+            make_scenario(trials=trials)
 
     def test_dimension_consistency(self):
         with pytest.raises(DomainError):
@@ -111,6 +117,14 @@ class TestRunCoverage:
         result = run_coverage(scenario, master_seed=7)
         assert 0.89 <= result.coverage <= 0.995
         assert result.excluded_trials <= 2
+
+    def test_level_sets_only_the_bootstrap_interval(self):
+        # the simulated input CIs stay 95%, as the beta fit assumes; at
+        # level 0.8 the bootstrap interval must not under-cover
+        result = run_coverage(make_scenario(trials=400, n=10_000, level=0.8), 11)
+        scored = result.trials - result.excluded_trials
+        hits = round(result.coverage * scored)
+        assert clopper_pearson(hits, scored, 0.999)[1] >= 0.80
 
     def test_width_shrinks_with_bigger_experiments(self):
         small = run_coverage(make_scenario(trials=30, n=5000), master_seed=3)

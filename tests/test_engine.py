@@ -328,3 +328,35 @@ class TestBootComb:
         with pytest.raises(CopulabootError, match="too few") as exc:
             boot_comb([m], sigma, Combiner.identity(), config, valid_range=(0.0, 1.0))
         assert not isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_unallocatable_sample_is_a_numerical_failure(self, hdv_marginals, keep):
+        # numpy refuses 2**60 doubles as too big before allocating anything
+        n = 2**60
+        config = BootstrapConfig(n=n, seed=1, return_boot_vals=keep)
+        sigma = validate_correlation_matrix(np.eye(2))
+        need = 8 * n * (3 if keep else 1)
+        match = f"n={n} draws: it needs {need:,} bytes"
+        with pytest.raises(CopulabootError, match=match) as exc:
+            boot_comb(hdv_marginals, sigma, Combiner.product(2), config)
+        assert not isinstance(exc.value, ValueError)
+
+
+class TestCombiner:
+    @pytest.mark.parametrize(
+        "name, arity, expected",
+        [
+            ("product", 2, [6.0, 0.25]),
+            ("sum", 2, [5.0, 1.0]),
+            ("identity", 1, [2.0, 0.5]),
+        ],
+    )
+    def test_from_name(self, name, arity, expected):
+        combiner = Combiner.from_name(name, arity=arity)
+        assert (combiner.label, combiner.arity) == (name, arity)
+        x = np.array([[2.0, 3.0], [0.5, 0.5]])[:, :arity]
+        assert combiner(x).tolist() == expected
+
+    def test_from_expression_names_must_bind_every_variable(self):
+        with pytest.raises(DomainError, match=r"not bound: \['b'\]"):
+            Combiner.from_expression("a*b", names=["a"])

@@ -175,6 +175,9 @@ class TestFreeVariables:
     def test_constant(self):
         assert free_variables(parse_expression("3.5")) == []
 
+    def test_below_unary_minus(self):
+        assert free_variables(parse_expression("-x2*x1")) == ["x2", "x1"]
+
 
 def test_parser_fuzz_never_crashes():
     # random token soup must either parse or raise a positioned ParseError

@@ -15,7 +15,7 @@ from copulaboot import (
     fit_from_quantiles,
 )
 from copulaboot.distributions import cdf, quantile
-from copulaboot.fitting import FIT_TOL, _fit_residual
+from copulaboot.fitting import FIT_TOL, _fit_residual, _log_root
 
 Z_975 = 1.9599639845400545
 
@@ -198,6 +198,11 @@ def test_narrow_ci_names_the_limit(family, q_low, q_upp, width):
     )
     with pytest.raises(FitError, match=expected):
         fit_from_quantiles(family, QuantileConstraint(q_low, q_upp))
+
+
+def test_log_root_nan_while_bracketing():
+    with pytest.raises(FitError, match="NaN while bracketing the shape"):
+        _log_root(lambda x: math.nan, 0.0, "shape")
 
 
 @st.composite

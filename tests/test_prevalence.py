@@ -72,6 +72,15 @@ class TestRoganGladen:
             )
 
 
+def test_rogan_gladen_bits_match_the_scalar_formula():
+    # the scalar computes through the sampled kernel; both round alike
+    rng = np.random.default_rng(5)
+    draws = rng.uniform([0.0, 0.55, 0.55], 1.0, size=(500, 3))
+    for prev, sens, spec in draws:
+        raw = (prev + (spec - 1.0)) / (sens + (spec - 1.0))
+        assert rogan_gladen(prev, sens, spec) == min(max(raw, 0.0), 1.0)
+
+
 class TestRequestValidation:
     def test_ci_bounds_checked(self):
         with pytest.raises(DomainError):
@@ -213,9 +222,35 @@ class TestRhoSweep:
         def no_rows(*args, **kwargs):
             raise AssertionError("a row ran before the grid was checked")
 
-        monkeypatch.setattr("copulaboot.prevalence.adjust_prevalence", no_rows)
-        with pytest.raises(DomainError, match="rho"):
+        for name in ("adjust_prevalence", "boot_comb", "fit_from_quantiles"):
+            monkeypatch.setattr(f"copulaboot.prevalence.{name}", no_rows)
+        with pytest.raises(DomainError, match=r"rho must be in \[-1, 1\], got 1.5"):
             rho_sweep(make_request(n=10_000), [0.0, -0.5, 1.5])
+
+    def test_marginals_fitted_once(self, monkeypatch):
+        # rows share one fit of each marginal, and row i is the generic
+        # pipeline on stream i, as when every row refitted
+        fits = []
+
+        def counting_fit(*args):
+            fits.append(args)
+            return fit_from_quantiles(*args)
+
+        monkeypatch.setattr("copulaboot.prevalence.fit_from_quantiles", counting_fit)
+        req = make_request(n=10_000)
+        grid = [0.0, -0.3, -0.6, -0.9]
+        rows = rho_sweep(req, grid)
+        assert len(fits) == 3
+        marginals = [fit_from_quantiles(*args) for args in fits]
+        generic = Combiner.from_expression(
+            "(prev+(spec-1))/(sens+(spec-1))", names=["prev", "sens", "spec"]
+        )
+        for i, (rho, row) in enumerate(zip(grid, rows)):
+            est = boot_comb(
+                marginals, sens_spec_sigma(rho), generic, req.config,
+                stream_id=i, valid_range=(0.0, 1.0),
+            )
+            assert (row.low, row.upp) == (est.low, est.upp)
 
     def test_rows_independently_reproducible(self):
         req = make_request(n=10_000)
