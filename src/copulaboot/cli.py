@@ -421,9 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "combine", help="combine fitted marginals with an expression or builtin"
-    )
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        # a prefix of a flag is refused, not taken as the flag
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
+
+    p = command("combine", "combine fitted marginals with an expression or builtin")
     p.add_argument(
         "--dist",
         action="append",
@@ -441,9 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_config(p)
     p.set_defaults(func=_cmd_combine)
 
-    p = sub.add_parser(
-        "adjust-prev", help="adjust a prevalence for test sensitivity/specificity"
-    )
+    p = command("adjust-prev", "adjust a prevalence for test sensitivity/specificity")
     _add_prev_cis(p)
     p.add_argument("--prev", type=float, help="apparent prevalence point estimate")
     p.add_argument("--sens", type=float, help="sensitivity point estimate")
@@ -462,9 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_config(p)
     p.set_defaults(func=_cmd_adjust_prev)
 
-    p = sub.add_parser(
-        "sweep", help="interval width as a function of sens/spec correlation"
-    )
+    p = command("sweep", "interval width as a function of sens/spec correlation")
     _add_prev_cis(p)
     p.add_argument("--rho-from", type=float, required=True)
     p.add_argument("--rho-to", type=float, required=True)
@@ -472,9 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_config(p)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser(
-        "scatter", help="copula-coupled sensitivity/specificity draws"
-    )
+    p = command("scatter", "copula-coupled sensitivity/specificity draws")
     p.add_argument("--sens-ci", required=True, metavar="L,U")
     p.add_argument("--spec-ci", required=True, metavar="L,U")
     p.add_argument("--rho", type=float, required=True)
@@ -482,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=_cmd_scatter)
 
-    p = sub.add_parser("coverage", help="Monte-Carlo coverage experiment")
+    p = command("coverage", "Monte-Carlo coverage experiment")
     p.add_argument("--scenario", required=True, metavar="PATH", help="JSON scenario file")
     p.add_argument("--trials", type=int, help="override scenario trial count")
     p.add_argument("--seed", type=int, default=0)

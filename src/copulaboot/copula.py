@@ -131,10 +131,15 @@ def factor_correlation(sigma: CorrelationMatrix) -> CorrelationFactor:
 
 
 def _draw_uniform_block(
-    factor: CorrelationFactor, n: int, d: int, rng: RngStream
+    factor: CorrelationFactor, rng: RngStream, start: int, stop: int
 ) -> np.ndarray:
-    """The n x d copula uniforms for draws consuming positions [c, c + n*d)."""
-    raw = rng.uniforms(n * d).reshape(n, d)
+    """The copula uniforms of draws start..stop-1, one row per draw.
+
+    Draw i reads stream positions [i*d, (i+1)*d), the package's only map from
+    draws to positions, so any split of the draws gives the same rows.
+    """
+    n, d = stop - start, factor.L.shape[0]
+    raw = rng.uniforms(start * d, n * d).reshape(n, d)
     np.clip(raw, _U_LOW, _U_HIGH, out=raw)
     if np.array_equal(factor.L, np.eye(d)):
         return raw

@@ -92,18 +92,27 @@ class CombinedEstimate:
     sample: Optional[EmpiricalSample] = None
 
 
-def _rogan_gladen_raw(x: np.ndarray) -> np.ndarray:
-    """Untruncated Rogan-Gladen (prev + (spec - 1))/(sens + (spec - 1)) per draw.
+# the Rogan-Gladen estimator of true prevalence from the apparent prevalence,
+# sensitivity and specificity; subtracting 1 from spec first is exact for
+# spec >= 1/2, so this order is the more accurate one
+ROGAN_GLADEN = "(prev+(spec-1))/(sens+(spec-1))"
+ROGAN_GLADEN_NAMES = ("prev", "sens", "spec")
 
-    Columns are (prev, sens, spec). Subtracting 1 from spec first (exact
-    for spec >= 1/2) is the more accurate order; it is that of the parsed
-    expression (prev+(spec-1))/(sens+(spec-1)), so the builtin and expression
-    routes are bit-identical. This is the package's only copy of the formula:
-    the scalar ``prevalence.rogan_gladen`` computes through it too.
+
+def _allocate(n: int, *shapes):
+    """Empty float arrays of the given shapes (None gives None) for n draws.
+
+    numpy raises MemoryError for a size the machine cannot hold, or
+    ValueError for one past its address space; either becomes a
+    ``CopulabootError`` naming n and the bytes needed.
     """
-    with np.errstate(all="ignore"):
-        spec_m1 = x[:, 2] - 1.0
-        return (x[:, 0] + spec_m1) / (x[:, 1] + spec_m1)
+    try:
+        return [None if s is None else np.empty(s) for s in shapes]
+    except (MemoryError, ValueError):
+        need = 8 * sum(math.prod(s) for s in shapes if s is not None)
+        raise CopulabootError(
+            f"cannot allocate the sample of n={n} draws: it needs {need:,} bytes"
+        ) from None
 
 
 class Combiner:
@@ -140,10 +149,9 @@ class Combiner:
 
     @classmethod
     def rogan_gladen(cls) -> "Combiner":
-        def fn(x):
-            return np.minimum(np.maximum(_rogan_gladen_raw(x), 0.0), 1.0)
-
-        return cls(fn, 3, "roganGladen")
+        """The Rogan-Gladen estimator over (prev, sens, spec), clamped to [0, 1]."""
+        text = f"min(max({ROGAN_GLADEN},0),1)"
+        return cls(cls.from_expression(text, ROGAN_GLADEN_NAMES).fn, 3, "roganGladen")
 
     @classmethod
     def from_name(cls, name: str, arity: Optional[int] = None) -> "Combiner":
@@ -237,18 +245,16 @@ def hdi_interval(values, level: float) -> tuple[float, float]:
 
 
 def _combine_chunk(
-    marginals, factor, rng_base: RngStream, start: int, stop: int
+    marginals, factor, rng: RngStream, start: int, stop: int
 ) -> np.ndarray:
     """Parameter draws start..stop-1 as a (stop - start) x d matrix.
 
-    Draw i consumes the d uniforms at stream positions c + i*d .. c + (i+1)*d - 1,
-    where c is ``rng_base.counter``, so any chunking of the work reproduces
-    the same draws. This is the package's only sampler.
+    Each draw depends only on its index, so any chunking of the work
+    reproduces the same draws. This is the package's only sampler; its
+    buffer is allocated before any uniform is drawn.
     """
-    d = len(marginals)
-    rng = rng_base.at(rng_base.counter + start * d)
-    u = _draw_uniform_block(factor, stop - start, d, rng)
-    x = np.empty((stop - start, d))
+    (x,) = _allocate(stop - start, (stop - start, len(marginals)))
+    u = _draw_uniform_block(factor, rng, start, stop)
     for i, marg in enumerate(marginals):
         x[:, i] = quantile(marg.spec, u[:, i])
     return x
@@ -281,19 +287,11 @@ def boot_comb(
         )
 
     factor = factor_correlation(sigma)
-    rng_base = RngStream(config.seed, stream_id)
+    rng = RngStream(config.seed, stream_id)
     n = config.n
     # allocated before anything else sized by n, so a draw count the machine
-    # cannot hold fails at once; numpy raises MemoryError, or ValueError for
-    # a size past its address space
-    try:
-        values = np.empty(n)
-        draws = np.empty((n, d)) if config.return_boot_vals else None
-    except (MemoryError, ValueError):
-        need = 8 * n * (1 + d if config.return_boot_vals else 1)
-        raise CopulabootError(
-            f"cannot allocate the sample of n={n} draws: it needs {need:,} bytes"
-        ) from None
+    # cannot hold fails at once
+    values, draws = _allocate(n, (n,), (n, d) if config.return_boot_vals else None)
 
     bounds = [
         (s, min(s + config.chunk_size, n)) for s in range(0, n, config.chunk_size)
@@ -301,7 +299,7 @@ def boot_comb(
 
     def run_chunk(span):
         start, stop = span
-        x = _combine_chunk(marginals, factor, rng_base, start, stop)
+        x = _combine_chunk(marginals, factor, rng, start, stop)
         values[start:stop] = combiner(x)
         if draws is not None:
             draws[start:stop] = x
@@ -317,7 +315,7 @@ def boot_comb(
     if not np.all(finite):
         idx = int(np.argmin(finite))
         # re-derive the inputs of the offending draw for the error message
-        x = _combine_chunk(marginals, factor, rng_base, idx, idx + 1)
+        x = _combine_chunk(marginals, factor, rng, idx, idx + 1)
         raise NonFiniteDrawError(idx, x[0].tolist(), float(values[idx]))
 
     dropped = 0

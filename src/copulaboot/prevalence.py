@@ -17,11 +17,12 @@ import numpy as np
 
 from .copula import CorrelationMatrix, factor_correlation, validate_correlation_matrix
 from .engine import (
+    ROGAN_GLADEN,
+    ROGAN_GLADEN_NAMES,
     BootstrapConfig,
     Combiner,
     CombinedEstimate,
     _combine_chunk,
-    _rogan_gladen_raw,
     boot_comb,
 )
 from .errors import DomainError, UninformativeTestError
@@ -40,9 +41,9 @@ __all__ = [
 
 
 def rogan_gladen(prev_raw: float, sens: float, spec: float) -> float:
-    """True-prevalence estimate (apparent + spec - 1)/(sens + spec - 1).
+    """The Rogan-Gladen true-prevalence estimate, truncated to [0, 1].
 
-    Truncated to [0, 1]. Requires an informative test: sens + spec > 1.
+    Requires an informative test: sens + spec > 1.
     """
     if not sens + spec > 1.0:
         raise DomainError(
@@ -112,6 +113,9 @@ def _fit_marginals(req: PrevAdjustRequest) -> list[FittedDistribution]:
     ]
 
 
+_RAW_ROGAN_GLADEN = Combiner.from_expression(ROGAN_GLADEN, ROGAN_GLADEN_NAMES)
+
+
 def _informative_rogan_gladen(x: np.ndarray) -> np.ndarray:
     # raw (untruncated) adjustment: boot_comb's valid_range drops draws
     # outside (0, 1), which reproduces the published intervals. A draw with
@@ -123,7 +127,7 @@ def _informative_rogan_gladen(x: np.ndarray) -> np.ndarray:
             "check the sensitivity and specificity intervals",
             count=bad,
         )
-    return _rogan_gladen_raw(x)
+    return _RAW_ROGAN_GLADEN.fn(x)
 
 
 _GUARDED_ROGAN_GLADEN = Combiner(_informative_rogan_gladen, 3, "roganGladen")

@@ -1,18 +1,18 @@
-"""Counter-based reproducible random streams.
+"""Position-addressed reproducible random streams.
 
-Built on the Philox counter-based generator. A stream is identified by
-(seed, stream_id) and a uniform at absolute position ``counter`` is
-well-defined independently of how draws are batched, so chunked or parallel
-execution can reproduce the serial sequence exactly.
+Built on the Philox generator, which computes its output at any position
+directly. A stream is identified by (seed, stream_id) and the uniform at
+each absolute position is well-defined independently of how draws are
+batched, so chunked or parallel execution can reproduce the serial sequence
+exactly.
 
-Philox advances its 128-bit counter in blocks of four 64-bit outputs; to
-start at an arbitrary offset we advance whole blocks and discard the
-remainder.
+Philox produces its output in blocks of four 64-bit values; to start at an
+arbitrary position we advance whole blocks and discard the remainder.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -39,31 +39,23 @@ def derive_seed(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RngStream:
-    """A position-addressable uniform random stream.
+    """A position-addressed uniform random stream.
 
-    (seed, stream_id, counter) fully determines all future output; distinct
-    stream_ids give statistically independent streams.
+    (seed, stream_id) fully determines the uniform at every position;
+    distinct stream_ids give statistically independent streams.
     """
 
     seed: int
     stream_id: int = 0
-    counter: int = field(default=0)
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """Return the next n uniforms in [0, 1) and advance the counter."""
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
+    def uniforms(self, start: int, n: int) -> np.ndarray:
+        """The n uniforms in [0, 1) at positions start .. start + n - 1."""
+        if start < 0 or n < 0:
+            raise ValueError(f"start and n must be >= 0, got {start} and {n}")
         bg = Philox(key=[self.seed & _MASK64, self.stream_id & _MASK64])
-        skip_blocks, pre = divmod(self.counter, 4)
+        skip_blocks, pre = divmod(start, 4)
         if skip_blocks:
             bg.advance(skip_blocks)
-        out = Generator(bg).random(pre + n)[pre:]
-        self.counter += n
-        return out
-
-    def at(self, counter: int) -> "RngStream":
-        """A fresh stream positioned at an absolute counter offset."""
-        return RngStream(self.seed, self.stream_id, counter)
-
+        return Generator(bg).random(pre + n)[pre:]

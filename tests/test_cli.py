@@ -403,6 +403,8 @@ EXIT_CODES = {
         [*PREV, "--sigma", "1,0,0;0,1,0;0,0,1", "--rho-sens-spec", "-0.9"], 2
     ),
     "prev_n": ([*PREV, "--n", "5"], 2),
+    # a prefix of a flag is not taken as the flag
+    "prev_rho_abbrev": ([*PREV, "--rho", "0.5"], 2),
     "point_nan": ([*PREV, "--prev", "nan", "--sens", "0.88", "--spec", "0.93"], 2),
     "point_range": ([*PREV, "--prev", "5", "--sens", "0.88", "--spec", "0.93"], 2),
     "points_uninformative": (
@@ -416,7 +418,9 @@ EXIT_CODES = {
     "sweep_steps": ([*SWEEP, "--steps", "-1"], 2),
     "sweep_ci": ([*SWEEP, "--spec-ci", "0.9,0.8"], 2),
     "sweep_points": ([*SWEEP, "--prev", "0.168", "--sens", "0.88", "--spec", "0.93"], 2),
+    "sweep_prev_abbrev": ([*SWEEP, "--n", "2000", "--prev", "0.1,0.3"], 2),
     "scatter_m": ([*SCATTER, "--rho", "0", "--m", "0"], 2),
+    "scatter_unallocatable": ([*SCATTER, "--rho", "0", "--m", str(2**60)], 3),
     "scatter_rho": ([*SCATTER, "--rho", "1.5"], 2),
     "scatter_ci_order": ([*SCATTER, "--rho", "0", "--sens-ci", "0.9,0.8"], 2),
     "scatter_ci_format": ([*SCATTER, "--rho", "0", "--spec-ci", "x,0.9"], 2),

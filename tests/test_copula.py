@@ -57,7 +57,7 @@ def sample(marginals, sigma, n, seed, start=0):
 def rebuild_draws(marginals, sigma, n, seed):
     """The sampler's stages recomputed from public pieces: latents z, draws x."""
     d = len(marginals)
-    raw = np.clip(RngStream(seed).uniforms(n * d).reshape(n, d), _U_LOW, _U_HIGH)
+    raw = np.clip(RngStream(seed).uniforms(0, n * d).reshape(n, d), _U_LOW, _U_HIGH)
     g, L = std_normal_quantile(raw), factor_correlation(sigma).L
     # z[r, i] = sum over j of g[r, j] * L[i, j], added in order of j
     z = np.array(
@@ -74,7 +74,9 @@ def constant_uniforms(monkeypatch):
     """Make every stream return the given constant as each uniform."""
 
     def install(value):
-        monkeypatch.setattr(RngStream, "uniforms", lambda self, n: np.full(n, value))
+        monkeypatch.setattr(
+            RngStream, "uniforms", lambda self, start, n: np.full(n, value)
+        )
 
     return install
 
@@ -167,8 +169,8 @@ class TestSampleLatent:
 
     def test_identity_factor_passthrough(self):
         f = factor_correlation(validate_correlation_matrix(np.eye(3)))
-        u = _draw_uniform_block(f, 100, 3, RngStream(123, 0))
-        raw = RngStream(123, 0).uniforms(300).reshape(100, 3)
+        u = _draw_uniform_block(f, RngStream(123, 0), 0, 100)
+        raw = RngStream(123, 0).uniforms(0, 300).reshape(100, 3)
         assert np.array_equal(u, np.clip(raw, _U_LOW, _U_HIGH))
 
     def test_determinism_and_advancement(self, beta_marginals):
@@ -228,7 +230,7 @@ class TestDrawDependentSamples:
     def test_identity_bit_identical_to_independent(self, beta_marginals):
         sigma = validate_correlation_matrix(np.eye(2))
         x = sample(beta_marginals, sigma, 500, 42)
-        u = np.clip(RngStream(42).uniforms(1000).reshape(500, 2), 1e-300, 1 - 1e-16)
+        u = np.clip(RngStream(42).uniforms(0, 1000).reshape(500, 2), 1e-300, 1 - 1e-16)
         ref = np.column_stack(
             [quantile(m.spec, u[:, i]) for i, m in enumerate(beta_marginals)]
         )
@@ -250,7 +252,7 @@ class TestDrawDependentSamples:
         sigma = validate_correlation_matrix([[1, 0.5], [0.5, 1]])
         rng = RngStream(11)
         # reconstruct the latent normals the sampler used
-        u_raw = np.clip(rng.uniforms(2 * N_BIG).reshape(N_BIG, 2), 1e-300, 1 - 1e-16)
+        u_raw = np.clip(rng.uniforms(0, 2 * N_BIG).reshape(N_BIG, 2), 1e-300, 1 - 1e-16)
         g = stats.norm.ppf(u_raw)
         f = factor_correlation(sigma)
         z = g @ f.L.T
@@ -302,17 +304,14 @@ class TestDrawDependentSamples:
 
 class TestRngStream:
     def test_counter_addressing(self):
-        a = RngStream(123, 0).uniforms(100)
+        a = RngStream(123, 0).uniforms(0, 100)
         for offset in (0, 1, 2, 3, 4, 37):
-            tail = RngStream(123, 0, counter=offset).uniforms(100 - offset)
+            tail = RngStream(123, 0).uniforms(offset, 100 - offset)
             assert np.array_equal(a[offset:], tail)
-        rng = RngStream(123, 0)
-        rng.uniforms(7)
-        assert rng.counter == 7
 
     def test_streams_differ(self):
-        a = RngStream(123, 0).uniforms(50)
-        b = RngStream(123, 1).uniforms(50)
+        a = RngStream(123, 0).uniforms(0, 50)
+        b = RngStream(123, 1).uniforms(0, 50)
         assert not np.array_equal(a, b)
 
     def test_normals_consume_one_uniform_each(self, beta_marginals, monkeypatch):
@@ -320,9 +319,9 @@ class TestRngStream:
         read = []
         uniforms = RngStream.uniforms
 
-        def recording(self, n):
-            read.append((self.counter, n))
-            return uniforms(self, n)
+        def recording(self, start, n):
+            read.append((start, n))
+            return uniforms(self, start, n)
 
         monkeypatch.setattr(RngStream, "uniforms", recording)
         for marginals, sigma in (

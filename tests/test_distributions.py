@@ -4,7 +4,21 @@ import numpy as np
 import pytest
 from scipy import special
 
-from copulaboot import DistributionSpec, DomainError, Family
+from copulaboot import (
+    BootstrapConfig,
+    Combiner,
+    DistributionSpec,
+    DomainError,
+    Family,
+    PrevAdjustRequest,
+    QuantileConstraint,
+    adjust_prevalence,
+    boot_comb,
+    fit_from_quantiles,
+    sens_spec_sigma,
+    validate_correlation_matrix,
+)
+from copulaboot import distributions
 from copulaboot.distributions import cdf, quantile, std_normal_cdf, std_normal_quantile
 
 # z with Phi(z) = 0.975, from the rational-approximation oracle, verified
@@ -233,3 +247,42 @@ def test_tabulated_quantile_accuracy(spec):
     assert np.all((np.diff(x_hat) >= 0) | (np.diff(exact) < 0))
     # the clamp of u = 0 lies far outside the table
     assert quantile(spec, 1e-300) == _exact_quantile(spec, 1e-300)
+
+
+def _published_interval(case, method, seed):
+    config = BootstrapConfig(n=200_000, seed=seed, method=method, threads=2)
+    if case == "hdv_rho05":
+        marginals = [
+            fit_from_quantiles("beta", QuantileConstraint(*ci))
+            for ci in ((0.027, 0.050), (0.036, 0.057))
+        ]
+        sigma = validate_correlation_matrix([[1.0, 0.5], [0.5, 1.0]])
+        return boot_comb(marginals, sigma, Combiner.product(2), config)
+    return adjust_prevalence(PrevAdjustRequest(
+        prev_ci=(0.136, 0.204), sens_ci=(0.837, 0.918), spec_ci=(0.857, 0.975),
+        sigma=sens_spec_sigma(-0.5), config=config,
+    ))
+
+
+@pytest.mark.parametrize("method", ["percentile", "hdi"])
+@pytest.mark.parametrize("case", ["hdv_rho05", "sars_rho_minus05"])
+def test_tabulated_quantile_moves_no_interval(case, method, monkeypatch):
+    # the table's bound carried to the worked examples' intervals: against
+    # the exact kernel, no HDI window switch and no draw crossing valid_range
+    for seed in (1, 2):
+        table = _published_interval(case, method, seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                distributions, "_tabulated_quantile", distributions._exact_quantile
+            )
+            exact = _published_interval(case, method, seed)
+        for got, want in (
+            (table.low, exact.low),
+            (table.upp, exact.upp),
+            (table.point_estimate, exact.point_estimate),
+        ):
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+        assert (
+            table.diagnostics["dropped_outside_range"]
+            == exact.diagnostics["dropped_outside_range"]
+        )

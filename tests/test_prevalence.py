@@ -7,6 +7,7 @@ from scipy import stats
 from copulaboot import (
     BootstrapConfig,
     Combiner,
+    CopulabootError,
     DomainError,
     PrevAdjustRequest,
     QuantileConstraint,
@@ -19,6 +20,7 @@ from copulaboot import (
 )
 from copulaboot.distributions import cdf
 from copulaboot.prevalence import rogan_gladen
+from copulaboot.rng import RngStream
 
 # SARS-CoV-2 serosurvey inputs: 84/500 positive, sensitivity 238/270,
 # specificity 82/88
@@ -299,3 +301,15 @@ class TestScatterDraws:
     def test_ci_validation_names_the_ci(self):
         with pytest.raises(DomainError, match="specCI"):
             scatter_draws(SENS_CI, (0.5, 1.5), rho=0.0, m=10, seed=123)
+
+    def test_unallocatable_m_fails_before_any_uniform(self, monkeypatch):
+        # numpy refuses 2**60 x 2 doubles as too big before allocating anything
+        def no_uniforms(self, start, n):
+            raise AssertionError("a uniform was drawn")
+
+        monkeypatch.setattr(RngStream, "uniforms", no_uniforms)
+        m = 2**60
+        match = f"n={m} draws: it needs {16 * m:,} bytes"
+        with pytest.raises(CopulabootError, match=match) as exc:
+            scatter_draws(SENS_CI, SPEC_CI, rho=0.0, m=m, seed=123)
+        assert not isinstance(exc.value, ValueError)
