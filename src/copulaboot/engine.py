@@ -250,11 +250,10 @@ def _combine_chunk(
     """Parameter draws start..stop-1 as a (stop - start) x d matrix.
 
     Each draw depends only on its index, so any chunking of the work
-    reproduces the same draws. This is the package's only sampler; its
-    buffer is allocated before any uniform is drawn.
+    reproduces the same draws. This is the package's only sampler.
     """
-    (x,) = _allocate(stop - start, (stop - start, len(marginals)))
     u = _draw_uniform_block(factor, rng, start, stop)
+    x = np.empty((stop - start, len(marginals)))
     for i, marg in enumerate(marginals):
         x[:, i] = quantile(marg.spec, u[:, i])
     return x
@@ -271,10 +270,10 @@ def boot_comb(
     """Run the full combination pipeline and summarize with an interval.
 
     The point estimate is the median of the kept combined sample. With
-    ``valid_range`` set, combined values outside the open interval are
-    excluded from the empirical sample before the interval is computed (the
-    count is reported in the diagnostics). The result is identical for any
-    chunk size and thread count.
+    ``valid_range = (low, high)``, low < high, combined values outside the
+    open interval are excluded from the empirical sample before the interval
+    is computed (the count is reported in the diagnostics). The result is
+    identical for any chunk size and thread count.
     """
     d = len(marginals)
     if sigma.d != d:
@@ -285,6 +284,9 @@ def boot_comb(
         raise DomainError(
             f"dimension mismatch: {d} marginals but combiner arity {combiner.arity}"
         )
+    # a NaN bound fails low < high too
+    if valid_range is not None and not valid_range[0] < valid_range[1]:
+        raise DomainError(f"valid_range must satisfy low < high, got {valid_range}")
 
     factor = factor_correlation(sigma)
     rng = RngStream(config.seed, stream_id)
@@ -318,29 +320,26 @@ def boot_comb(
         x = _combine_chunk(marginals, factor, rng, idx, idx + 1)
         raise NonFiniteDrawError(idx, x[0].tolist(), float(values[idx]))
 
+    # one ascending ordering serves valid_range, the median and both intervals;
+    # the returned sample keeps draw order, so only then is a copy sorted
+    if config.return_boot_vals:
+        ordered = np.sort(values)
+    else:
+        ordered = values
+        ordered.sort()
     dropped = 0
-    kept_values = values
-    kept_draws = draws
     if valid_range is not None:
-        keep = (values > valid_range[0]) & (values < valid_range[1])
-        dropped = int(n - np.count_nonzero(keep))
-        if n - dropped < MIN_DRAWS:
+        # the values inside the open range are one contiguous run of the ordering
+        start = np.searchsorted(ordered, valid_range[0], side="right")
+        stop = np.searchsorted(ordered, valid_range[1], side="left")
+        ordered = ordered[start:stop]
+        dropped = n - ordered.size
+        if ordered.size < MIN_DRAWS:
             # a sampled outcome, not a bad input, so not a DomainError
             raise CopulabootError(
-                f"only {n - dropped} of {n} combined values fall inside "
+                f"only {ordered.size} of {n} combined values fall inside "
                 f"{valid_range}; too few for a stable interval"
             )
-        if dropped:
-            kept_values = values[keep]
-            kept_draws = draws[keep] if draws is not None else None
-
-    # one ascending ordering serves the median and both interval methods; the
-    # returned sample keeps draw order, so only then is a copy sorted
-    if config.return_boot_vals:
-        ordered = np.sort(kept_values)
-    else:
-        ordered = kept_values
-        ordered.sort()
     k = ordered.size
     # the mean of the middle one or two order statistics, as np.median takes it
     point = float(np.mean(ordered[(k - 1) // 2 : k // 2 + 1]))
@@ -358,11 +357,12 @@ def boot_comb(
         "draw_count": n,
         "dropped_outside_range": dropped,
     }
-    sample = (
-        EmpiricalSample(values=kept_values, input_draws=kept_draws)
-        if config.return_boot_vals
-        else None
-    )
+    sample = None
+    if config.return_boot_vals:
+        if dropped:
+            keep = (values > valid_range[0]) & (values < valid_range[1])
+            values, draws = values[keep], draws[keep]
+        sample = EmpiricalSample(values=values, input_draws=draws)
     return CombinedEstimate(
         low=low,
         upp=upp,

@@ -22,6 +22,7 @@ from .engine import (
     BootstrapConfig,
     Combiner,
     CombinedEstimate,
+    _allocate,
     _combine_chunk,
     boot_comb,
 )
@@ -189,6 +190,7 @@ def scatter_draws(
         raise DomainError(f"rho must be in [-1, 1], got {rho}")
     _check_ci("sensCI", sens_ci)
     _check_ci("specCI", spec_ci)
+    _allocate(m, (m, 2))  # refuse an m this machine cannot hold before sampling
     marginals = [
         fit_from_quantiles("beta", QuantileConstraint(*ci))
         for ci in (sens_ci, spec_ci)

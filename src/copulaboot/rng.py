@@ -31,7 +31,7 @@ def derive_seed(seed: int, index: int) -> int:
     """Derive an independent 64-bit seed from (seed, index).
 
     splitmix64 finalizer over the combined value; used to give sub-tasks
-    (coverage trials, sweep rows) reproducible, well-separated seeds.
+    (coverage trials) reproducible, well-separated seeds.
     """
     z = (seed * 0x9E3779B97F4A7C15 + index + 1) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64

@@ -17,6 +17,7 @@ from copulaboot import (
     validate_correlation_matrix,
 )
 from copulaboot.engine import hdi_interval, percentile_interval
+from copulaboot.rng import RngStream
 
 Z_975 = 1.9599639845400545
 
@@ -290,22 +291,44 @@ class TestBootComb:
         assert est.diagnostics["dropped_outside_range"] > 0
         assert np.array_equal(est.sample.values, combiner(est.sample.input_draws))
 
-    @pytest.mark.parametrize("method", ["percentile", "hdi"])
-    def test_peak_memory_of_one_run(self, hdv_marginals, method):
+    @pytest.mark.parametrize(
+        "method, valid_range",
+        [
+            pytest.param("percentile", None, id="percentile"),
+            pytest.param("hdi", None, id="hdi"),
+            pytest.param("percentile", (0.0, 10.0), id="percentile-valid_range"),
+            pytest.param("hdi", (0.0, 10.0), id="hdi-valid_range"),
+        ],
+    )
+    def test_peak_memory_of_one_run(self, hdv_marginals, method, valid_range):
         # a run holds its n combined values and a few chunk-sized buffers; the
-        # summary adds no sample-sized copy
+        # summary adds no sample-sized copy, and a valid_range that drops
+        # about half the draws adds no mask or copy of the kept values
         n = 200_000
         sigma = validate_correlation_matrix([[1, 0.5], [0.5, 1]])
         config = BootstrapConfig(
             n=n, seed=1, method=method, chunk_size=4096, threads=1
         )
-        boot_comb(hdv_marginals, sigma, Combiner.product(2), config)  # warm-up
+        if valid_range is None:
+            marginals, combiner = hdv_marginals, Combiner.product(2)
+        else:
+            m = fit_from_quantiles("normal", QuantileConstraint(-Z_975, Z_975))
+            marginals, combiner = [m, m], Combiner.sum(2)
+
+        def run():
+            return boot_comb(
+                marginals, sigma, combiner, config, valid_range=valid_range
+            )
+
+        run()  # warm-up
         tracemalloc.start()
         try:
-            boot_comb(hdv_marginals, sigma, Combiner.product(2), config)
+            est = run()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        if valid_range is not None:
+            assert est.diagnostics["dropped_outside_range"] > n // 3
         assert peak <= 1.5 * 8 * n
 
     def test_valid_range_drops_and_counts(self):
@@ -319,6 +342,43 @@ class TestBootComb:
         assert dropped == pytest.approx(50_000, abs=1500)  # half the mass is negative
         assert est.sample.values.size == 100_000 - dropped
         assert np.all(est.sample.values > 0)
+
+    def test_valid_range_keeps_values_on_neither_bound(self):
+        # the clamp gives exact 0s and 1s, which the open range drops; the
+        # kept sample and the count match a mask over the full run's draws
+        m = fit_from_quantiles("normal", QuantileConstraint(-Z_975, Z_975))
+        sigma = validate_correlation_matrix(np.eye(1))
+        combiner = Combiner.from_expression("min(max(x1,0),1)")
+        config = BootstrapConfig(
+            n=20_000, seed=7, chunk_size=3000, return_boot_vals=True
+        )
+        full = boot_comb([m], sigma, combiner, config)
+        est = boot_comb([m], sigma, combiner, config, valid_range=(0.0, 1.0))
+        values = full.sample.values
+        keep = (values > 0.0) & (values < 1.0)
+        assert np.any(values == 0.0) and np.any(values == 1.0)
+        assert est.diagnostics["dropped_outside_range"] == np.count_nonzero(~keep)
+        assert np.array_equal(est.sample.values, values[keep])
+        assert np.array_equal(est.sample.input_draws, full.sample.input_draws[keep])
+        kept = np.sort(values[keep])
+        assert (est.low, est.upp) == percentile_interval(kept, config.level)
+        assert est.point_estimate == float(np.median(kept))
+
+    @pytest.mark.parametrize(
+        "valid_range",
+        [(0.0, float("nan")), (float("nan"), 1.0), (1.0, 0.0), (0.5, 0.5)],
+        ids=["nan_high", "nan_low", "reversed", "empty"],
+    )
+    def test_valid_range_is_checked_before_sampling(self, monkeypatch, valid_range):
+        def no_uniforms(self, start, n):
+            raise AssertionError("a uniform was drawn")
+
+        monkeypatch.setattr(RngStream, "uniforms", no_uniforms)
+        m = fit_from_quantiles("normal", QuantileConstraint(-Z_975, Z_975))
+        sigma = validate_correlation_matrix(np.eye(1))
+        config = BootstrapConfig(n=1000, seed=5)
+        with pytest.raises(DomainError, match="valid_range must satisfy low < high"):
+            boot_comb([m], sigma, Combiner.identity(), config, valid_range=valid_range)
 
     def test_valid_range_shortfall_is_not_an_input_error(self):
         # too few kept draws is a sampled outcome, so not a ValueError (exit 3)
