@@ -22,7 +22,6 @@ from .engine import (
 from .errors import (
     CopulabootError,
     DomainError,
-    EvalError,
     FitError,
     InvalidCorrelationError,
     NonFiniteDrawError,
@@ -69,7 +68,6 @@ __all__ = [
     # errors
     "CopulabootError",
     "DomainError",
-    "EvalError",
     "FitError",
     "InvalidCorrelationError",
     "NonFiniteDrawError",

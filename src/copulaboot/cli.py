@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .copula import CorrelationMatrix, validate_correlation_matrix
 from .coverage import CoverageScenario, run_coverage
-from .engine import BootstrapConfig, Combiner, CombinedEstimate, boot_comb
+from .engine import BootstrapConfig, Combiner, CombinedEstimate, _allocate, boot_comb
 from .errors import CopulabootError
 from .fitting import QuantileConstraint, fit_from_quantiles
 from .prevalence import (
@@ -302,6 +302,8 @@ def _cmd_sweep(args) -> int:
     if args.steps < 0:
         raise UsageError(f"--steps must be >= 0, got {args.steps}")
     req = _prev_request(args, sens_spec_sigma(0.0))  # rows take rho from the grid
+    with _naming("--steps"):  # a grid too big to hold is refused before any fit
+        _allocate(args.steps + 1, (args.steps + 1,))
     grid = np.linspace(args.rho_from, args.rho_to, args.steps + 1)
     rows = rho_sweep(req, [float(r) for r in grid])
     print("rho,low,upp,width")

@@ -62,7 +62,10 @@ class CoverageScenario:
         check = float(
             self.combiner(np.asarray(self.true_params, dtype=float)[None, :])[0]
         )
-        if abs(check - self.true_combined) > 1e-12:
+        if not math.isfinite(check):
+            raise DomainError(f"the combiner at trueParams is not finite ({check})")
+        # written so that a NaN trueCombined fails the match too
+        if not abs(check - self.true_combined) <= 1e-12:
             raise DomainError(
                 f"trueCombined={self.true_combined} does not match the combiner "
                 f"at trueParams ({check})"

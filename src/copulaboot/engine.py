@@ -25,7 +25,7 @@ from .copula import (
 )
 from .distributions import quantile
 from .errors import CopulabootError, DomainError, NonFiniteDrawError
-from .exprlang import Expr, eval_expression, free_variables, parse_expression
+from .exprlang import eval_expression, free_variables, parse_expression
 from .fitting import FittedDistribution
 from .rng import RngStream
 
@@ -170,18 +170,14 @@ class Combiner:
 
     @classmethod
     def from_expression(
-        cls, text_or_ast, names: Optional[Sequence[str]] = None
+        cls, text: str, names: Optional[Sequence[str]] = None
     ) -> "Combiner":
-        """Build a combiner from expression text (or a parsed tree).
+        """Build a combiner from expression text.
 
         Marginal i is bound to the i-th free variable in first-appearance
         order unless an explicit name list is given.
         """
-        ast: Expr = (
-            parse_expression(text_or_ast)
-            if isinstance(text_or_ast, str)
-            else text_or_ast
-        )
+        ast = parse_expression(text)
         names = list(names) if names is not None else free_variables(ast)
         missing = set(free_variables(ast)) - set(names)
         if missing:
@@ -191,8 +187,7 @@ class Combiner:
             bindings = {name: x[:, i] for i, name in enumerate(names)}
             return np.asarray(eval_expression(ast, bindings), dtype=float)
 
-        label = text_or_ast if isinstance(text_or_ast, str) else "<expression>"
-        return cls(fn, len(names), label)
+        return cls(fn, len(names), text)
 
 
 def percentile_interval(values, level: float) -> tuple[float, float]:

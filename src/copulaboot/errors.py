@@ -10,15 +10,7 @@ class DomainError(CopulabootError, ValueError):
 
 
 class FitError(CopulabootError):
-    """Quantile fitting failed to converge to the required tolerance.
-
-    Carries the best residual found so callers can report how close the
-    fit got; ``best_residual`` is ``None`` when no root bracket exists.
-    """
-
-    def __init__(self, message, best_residual=None):
-        super().__init__(message)
-        self.best_residual = best_residual
+    """Quantile fitting failed to converge to the required tolerance."""
 
 
 class InvalidCorrelationError(CopulabootError, ValueError):
@@ -45,23 +37,13 @@ class NonFiniteDrawError(CopulabootError):
 class UninformativeTestError(CopulabootError):
     """Sensitivity + specificity <= 1 for the inputs or for sampled draws."""
 
-    def __init__(self, message, count=None):
-        super().__init__(message)
-        self.count = count
-
 
 class ParseError(CopulabootError, ValueError):
     """Expression text could not be parsed.
 
-    ``position`` is the byte offset of the offending token; ``expected``
-    describes what the parser would have accepted there.
+    ``position`` is the byte offset of the offending token.
     """
 
-    def __init__(self, message, position, expected=None):
+    def __init__(self, message, position):
         super().__init__(f"{message} (at offset {position})")
         self.position = position
-        self.expected = expected or []
-
-
-class EvalError(CopulabootError):
-    """Expression evaluation failed (unbound variable, non-finite result)."""

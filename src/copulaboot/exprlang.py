@@ -5,19 +5,18 @@ the functions log, exp, sqrt, min, max, and parentheses. Precedence is
 ^ > unary minus > * / > + -, everything left-associative except ^ (right).
 
 Parsed trees are immutable and evaluation is pure; evaluation works
-elementwise on numpy arrays as well as on scalars.
+elementwise on numpy arrays.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import EvalError, ParseError
+from .errors import ParseError
 
 __all__ = [
     "Expr",
@@ -83,11 +82,7 @@ def _tokenize(text: str):
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}",
-                pos,
-                expected=["number", "name", "operator"],
-            )
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
         if m.lastgroup != "ws":
             tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()
@@ -118,9 +113,7 @@ class _Parser:
         kind, text, pos = self.peek()
         if text != value:
             raise ParseError(
-                f"expected {value!r}, found {text or 'end of input'!r}",
-                pos,
-                expected=[value],
+                f"expected {value!r}, found {text or 'end of input'!r}", pos
             )
         return self.advance()
 
@@ -128,9 +121,7 @@ class _Parser:
         expr = self.expression(0)
         kind, text, pos = self.peek()
         if kind != "end":
-            raise ParseError(
-                f"unexpected trailing input {text!r}", pos, expected=["end of input"]
-            )
+            raise ParseError(f"unexpected trailing input {text!r}", pos)
         return expr
 
     def expression(self, min_bp: int) -> Expr:
@@ -160,11 +151,7 @@ class _Parser:
             inner = self.expression(0)
             self.expect(")")
             return inner
-        raise ParseError(
-            f"unexpected token {text or 'end of input'!r}",
-            pos,
-            expected=["number", "name", "unary -", "("],
-        )
+        raise ParseError(f"unexpected token {text or 'end of input'!r}", pos)
 
     def call(self, func: str, pos: int) -> Expr:
         if func not in _FUNCTIONS:
@@ -221,30 +208,21 @@ _FUNC_IMPL = {
 
 
 def eval_expression(ast: Expr, bindings: Mapping[str, object]):
-    """Evaluate a tree under variable bindings.
+    """Evaluate a tree under variable bindings, which must bind every variable.
 
-    Scalars raise :class:`EvalError` on a non-finite result (division by
-    zero, log of a non-positive number). Array inputs are evaluated
-    elementwise under IEEE semantics and returned as-is; callers decide how
-    to surface non-finite elements.
+    Arrays are evaluated elementwise under IEEE semantics and returned as-is
+    (division by zero gives inf, log of a negative number NaN); callers
+    decide how to surface non-finite elements.
     """
     with np.errstate(all="ignore"):
-        out = _eval(ast, bindings)
-    if np.isscalar(out) or np.ndim(out) == 0:
-        out = float(out)
-        if not math.isfinite(out):
-            raise EvalError(f"expression evaluated to non-finite value {out!r}")
-    return out
+        return _eval(ast, bindings)
 
 
 def _eval(node: Expr, bindings: Mapping[str, object]):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
-        try:
-            return bindings[node.name]
-        except KeyError:
-            raise EvalError(f"unbound variable {node.name!r}") from None
+        return bindings[node.name]
     if isinstance(node, Unary):
         return -_eval(node.operand, bindings)
     if isinstance(node, Binary):

@@ -190,8 +190,7 @@ def fit_from_quantiles(
     """Fit a distribution of the given family to a quantile constraint.
 
     Two-parameter families must reproduce both constraints to within
-    ``FIT_TOL`` on the probability scale or a :class:`FitError` is raised;
-    its ``best_residual`` is ``None`` when no root bracket exists.
+    ``FIT_TOL`` on the probability scale or a :class:`FitError` is raised.
     The exponential (one parameter, two constraints) returns the
     least-squares optimum and reports the combined residual; a warning is
     emitted when that residual exceeds 1e-3.
@@ -205,7 +204,7 @@ def fit_from_quantiles(
         spec = fitters[family](constraint)
     except FitError as exc:
         note = _narrow_ci_note(family, constraint)
-        raise FitError(f"{exc}{note}", exc.best_residual) from None
+        raise FitError(f"{exc}{note}") from None
 
     residual = _fit_residual(spec, constraint)
     if family is Family.EXPONENTIAL:
@@ -219,7 +218,6 @@ def fit_from_quantiles(
         raise FitError(
             f"{family.value} fit did not converge: residual {residual:.3e} "
             f"> {FIT_TOL} for constraint {constraint}"
-            + _narrow_ci_note(family, constraint),
-            best_residual=residual,
+            + _narrow_ci_note(family, constraint)
         )
     return FittedDistribution(spec=spec, constraint=constraint, residual=residual)

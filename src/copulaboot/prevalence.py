@@ -125,8 +125,7 @@ def _informative_rogan_gladen(x: np.ndarray) -> np.ndarray:
     if bad:
         raise UninformativeTestError(
             f"{bad} sampled draw(s) had sensitivity + specificity <= 1; "
-            "check the sensitivity and specificity intervals",
-            count=bad,
+            "check the sensitivity and specificity intervals"
         )
     return _RAW_ROGAN_GLADEN.fn(x)
 

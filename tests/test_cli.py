@@ -419,6 +419,8 @@ EXIT_CODES = {
     "sweep_ci": ([*SWEEP, "--spec-ci", "0.9,0.8"], 2),
     "sweep_points": ([*SWEEP, "--prev", "0.168", "--sens", "0.88", "--spec", "0.93"], 2),
     "sweep_prev_abbrev": ([*SWEEP, "--n", "2000", "--prev", "0.1,0.3"], 2),
+    # 10**12 + 1 grid points: refused before any fit, as numpy cannot hold them
+    "sweep_unallocatable": ([*SWEEP, "--steps", str(10**12)], 3),
     "scatter_m": ([*SCATTER, "--rho", "0", "--m", "0"], 2),
     "scatter_unallocatable": ([*SCATTER, "--rho", "0", "--m", str(2**60)], 3),
     "scatter_rho": ([*SCATTER, "--rho", "1.5"], 2),
@@ -443,6 +445,9 @@ EXIT_CODES = {
     "scenario_trials_bool": (cov(trials=True), 2),
     "scenario_params_str": (cov(trueParams=["a", 0.1]), 2),
     "scenario_params_range": (cov(trueParams=[1.5, 0.1]), 2),
+    "scenario_true_nonfinite": (
+        cov(trueParams=[0.3, 0.4], combiner={"expr": "1/(x1-0.3)+x2"}), 2
+    ),
     "scenario_sizes_negative": (cov(dataSizes=[-5, 1500]), 2),
     "scenario_sizes_float": (cov(dataSizes=[2000.7, 1500]), 2),
     "scenario_sizes_bool": (cov(dataSizes=[True, 1500]), 2),

@@ -59,6 +59,26 @@ class TestScenarioValidation:
             )
 
     @pytest.mark.parametrize(
+        "expr, true_combined, match",
+        [
+            # 1/0 at trueParams: every interval would miss inf, scoring 0
+            ("1/(x1-0.3)+x2", math.inf, "not finite"),
+            ("x1*x2", math.nan, "does not match"),
+        ],
+    )
+    def test_true_value_must_be_finite(self, expr, true_combined, match):
+        with pytest.raises(DomainError, match=match):
+            CoverageScenario(
+                true_params=(0.3, 0.4),
+                data_sizes=(100, 100),
+                combiner=Combiner.from_expression(expr),
+                true_combined=true_combined,
+                sigma=validate_correlation_matrix(np.eye(2)),
+                config=BootstrapConfig(n=1000),
+                trials=10,
+            )
+
+    @pytest.mark.parametrize(
         "params, sizes, match",
         [
             ((1.5, 0.2), (100, 100), "trueParams"),

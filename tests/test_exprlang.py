@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from copulaboot import EvalError, ParseError
+from copulaboot import ParseError
 from copulaboot.exprlang import (
     Binary,
     Call,
@@ -140,18 +140,6 @@ class TestEval:
     def test_min_truncation(self):
         assert eval_expression(parse_expression("min(x,1)"), {"x": 2.5}) == 1.0
 
-    def test_unbound_variable(self):
-        with pytest.raises(EvalError, match="unbound"):
-            eval_expression(parse_expression("y"), {})
-
-    def test_scalar_division_by_zero(self):
-        with pytest.raises(EvalError, match="non-finite"):
-            eval_expression(parse_expression("1/x"), {"x": 0.0})
-
-    def test_scalar_log_of_negative(self):
-        with pytest.raises(EvalError):
-            eval_expression(parse_expression("log(x)"), {"x": -1.0})
-
     def test_array_eval_elementwise(self):
         x = np.array([1.0, 2.0, 3.0])
         y = np.array([4.0, 5.0, 6.0])
@@ -198,8 +186,7 @@ def test_parser_fuzz_never_crashes():
 def test_evaluator_matches_builtin_product():
     from copulaboot import Combiner
 
-    ast = parse_expression("x1*x2")
-    expr_comb = Combiner.from_expression(ast, names=["x1", "x2"])
+    expr_comb = Combiner.from_expression("x1*x2", names=["x1", "x2"])
     prod_comb = Combiner.product(2)
     x = np.random.default_rng(0).random((10_000, 2))
     assert np.array_equal(expr_comb(x), prod_comb(x))

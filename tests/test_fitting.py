@@ -229,3 +229,31 @@ def test_fit_or_named_failure(case):
     except FitError:
         return
     assert fit.residual <= FIT_TOL
+
+
+@st.composite
+def _solvable_cases(draw):
+    # where a fit is claimed to exist; relative widths stay >= 1e-6. Uniform
+    # draws from a hypothesis-seeded Random spread over the region, which
+    # st.floats does not (it favours 0 and the bounds).
+    u = draw(st.randoms(use_true_random=True)).uniform
+    alphas = u(1e-4, 0.4), u(0.6, 1.0 - 1e-4)
+    if u(0.0, 1.0) < 0.5:
+        # beta: qUpp at distance 10**e from 0 or from 1. Below qUpp ~ 1e-140
+        # the fit meets NaNs or finds no bracket (see ROADMAP), so e >= -100
+        edge, near_one = 10.0 ** u(-100.0, -0.31), u(0.0, 1.0) < 0.5
+        q_upp = min(1.0 - edge, math.nextafter(1.0, 0.0)) if near_one else edge
+        # qLow = qUpp * 10**-s, s from 1e-6 (relative width ~2.3e-6) to 316
+        q_low = max(q_upp * 10.0 ** -(10.0 ** u(-6.0, 2.5)), 1e-300)
+        return "beta", QuantileConstraint(q_low, q_upp, *alphas)
+    q_low = 10.0 ** u(-4.0, 4.0)
+    ratio = 1.0 + 10.0 ** u(-6.0, math.log10(999.0))
+    return "gamma", QuantileConstraint(q_low, q_low * ratio, *alphas)
+
+
+@given(_solvable_cases())
+def test_fit_succeeds_where_a_solution_exists(case):
+    # the narrow-CI FitError needs a relative width below 1e-8, outside this
+    # region, so any FitError here is a fitter failure
+    family, c = case
+    assert fit_from_quantiles(family, c).residual <= FIT_TOL

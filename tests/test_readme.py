@@ -20,7 +20,7 @@ def documented_names():
 
 def test_all_is_the_documented_api():
     names = documented_names()
-    assert len(names) == len(set(names)) == 30
+    assert len(names) == len(set(names)) == 29
     assert set(copulaboot.__all__) == set(names)
     assert len(copulaboot.__all__) == len(set(copulaboot.__all__))
 
