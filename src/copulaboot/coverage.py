@@ -16,7 +16,7 @@ from numpy.random import Generator, Philox
 from scipy import special
 
 from .copula import CorrelationMatrix
-from .engine import BootstrapConfig, Combiner, boot_comb
+from .engine import BootstrapConfig, Combiner, _is_int, boot_comb
 from .errors import DomainError, FitError
 from .fitting import QuantileConstraint, fit_from_quantiles
 from .rng import derive_seed
@@ -33,8 +33,7 @@ MAX_EXCLUDED_FRACTION = 0.01
 
 
 def _is_count(k) -> bool:
-    # bool is an int subclass, but a JSON true is no count
-    return isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1
+    return _is_int(k) and k >= 1
 
 
 @dataclass(frozen=True)

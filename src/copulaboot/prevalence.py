@@ -23,7 +23,8 @@ from .engine import (
     Combiner,
     CombinedEstimate,
     _allocate,
-    _combine_chunk,
+    _is_int,
+    _sample,
     boot_comb,
 )
 from .errors import DomainError, UninformativeTestError
@@ -183,16 +184,20 @@ def scatter_draws(
     seed: int,
 ) -> np.ndarray:
     """m x 2 matrix of copula-coupled (sensitivity, specificity) draws."""
+    for label, k in (("m", m), ("seed", seed)):
+        if not _is_int(k):
+            raise DomainError(f"{label} must be an integer, got {k!r}")
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     if not -1.0 <= rho <= 1.0:
         raise DomainError(f"rho must be in [-1, 1], got {rho}")
     _check_ci("sensCI", sens_ci)
     _check_ci("specCI", spec_ci)
-    _allocate(m, (m, 2))  # refuse an m this machine cannot hold before sampling
+    (draws,) = _allocate(m, (m, 2))  # refuses an m too big, before sampling
     marginals = [
         fit_from_quantiles("beta", QuantileConstraint(*ci))
         for ci in (sens_ci, spec_ci)
     ]
     sigma = validate_correlation_matrix([[1.0, rho], [rho, 1.0]])
-    return _combine_chunk(marginals, factor_correlation(sigma), RngStream(seed), 0, m)
+    _sample(marginals, factor_correlation(sigma), RngStream(seed), m, draws.__setitem__)
+    return draws

@@ -14,6 +14,7 @@ from copulaboot import (
     QuantileConstraint,
     boot_comb,
     fit_from_quantiles,
+    scatter_draws,
     validate_correlation_matrix,
 )
 from copulaboot.engine import hdi_interval, percentile_interval
@@ -55,10 +56,27 @@ class TestPercentileInterval:
 
     def test_bracketing_fraction(self):
         rng = np.random.default_rng(5)
-        values = rng.standard_normal(10_000)
+        values = np.sort(rng.standard_normal(10_000))
         low, upp = percentile_interval(values, 0.95)
         frac_low = np.mean(values <= low)
         assert abs(frac_low - 0.025) <= 1.0 / values.size + 1e-12
+
+    def test_matches_numpy_linear_quantile_bit_for_bit(self):
+        # the direct read of two order statistics against numpy's own rule.
+        # Rounding makes ties, so some reads interpolate between equal values;
+        # adding 0.0 turns each -0.0 into 0.0, because np.quantile partitions
+        # a copy, which may swap the equal -0.0 and 0.0
+        rng = np.random.default_rng(19)
+        fixed = [0.5, 0.9, 0.95, 0.99, 1.0 - 1e-12]
+        for k in range(3000):
+            n = int(rng.integers(2, 3001))
+            digits = int(rng.integers(0, 17))
+            s = np.sort(np.round(rng.standard_normal(n), digits) + 0.0)
+            level = fixed[k % 5] if k % 2 else float(rng.uniform(0.001, 0.999))
+            alpha = (1.0 - level) / 2.0
+            expected = np.quantile(s, [alpha, 1.0 - alpha], method="linear")
+            got = np.array(percentile_interval(s, level))
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestHdiInterval:
@@ -74,7 +92,7 @@ class TestHdiInterval:
         rng = np.random.default_rng(11)
         values = rng.standard_normal(50_000)
         h_low, h_upp = hdi_interval(np.sort(values), 0.95)
-        p_low, p_upp = percentile_interval(values, 0.95)
+        p_low, p_upp = percentile_interval(np.sort(values), 0.95)
         assert h_upp - h_low <= p_upp - p_low + 1e-12
 
     def test_matches_brute_force_oracle(self):
@@ -85,9 +103,9 @@ class TestHdiInterval:
             level = float(rng.uniform(0.5, 0.99))
             assert hdi_interval(np.sort(values), level) == brute_force_hdi(values, level)
 
-    def test_blocked_scan_matches_one_shot_argmin(self):
-        # a sample spanning many scan blocks, rounded so that equal-width
-        # windows recur in different blocks: the first minimizer still wins
+    def test_ties_keep_the_first_minimizer(self):
+        # rounded so that equal-width windows recur far apart: the window
+        # with the smallest left index wins
         rng = np.random.default_rng(8)
         s = np.sort(np.round(rng.standard_normal(100_000), 1))
         for level in (0.5, 0.9, 0.95):
@@ -99,8 +117,16 @@ class TestHdiInterval:
     def test_rejects_unsorted_sample(self, swap):
         values = np.arange(40_000.0)
         values[[swap, swap + 1]] = values[[swap + 1, swap]]
-        with pytest.raises(DomainError, match="sorted"):
-            hdi_interval(values, 0.95)
+        for summary in (hdi_interval, percentile_interval):
+            with pytest.raises(DomainError, match="sorted"):
+                summary(values, 0.95)
+
+    def test_rejects_nan(self):
+        # np.sort puts a NaN last, where an order check by < would miss it
+        values = np.sort([3.0, float("nan"), 1.0, 2.0])
+        for summary in (hdi_interval, percentile_interval):
+            with pytest.raises(DomainError, match="NaN"):
+                summary(values, 0.5)
 
     def test_too_small_sample(self):
         with pytest.raises(DomainError):
@@ -119,6 +145,38 @@ class TestBootstrapConfig:
     def test_bad_method(self):
         with pytest.raises(DomainError):
             BootstrapConfig(method="bca")
+
+    def test_numpy_integers_accepted(self):
+        config = BootstrapConfig(
+            n=np.int64(2000), seed=np.uint64(3), threads=np.int32(2)
+        )
+        assert (config.n, config.seed, config.threads) == (2000, 3, 2)
+
+
+SCATTER_CIS = ((0.837, 0.918), (0.857, 0.975))
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("n", lambda: BootstrapConfig(n=2000.0)),
+        ("n", lambda: BootstrapConfig(n=2000.5)),
+        ("chunkSize", lambda: BootstrapConfig(chunk_size=100.5)),
+        ("seed", lambda: BootstrapConfig(seed=1.5)),
+        ("threads", lambda: BootstrapConfig(threads=2.5)),
+        ("threads", lambda: BootstrapConfig(threads=True)),
+        ("m", lambda: scatter_draws(*SCATTER_CIS, rho=0.0, m=10.0, seed=1)),
+        ("m", lambda: scatter_draws(*SCATTER_CIS, rho=0.0, m=True, seed=1)),
+        ("seed", lambda: scatter_draws(*SCATTER_CIS, rho=0.0, m=10, seed=1.5)),
+    ],
+    ids=[
+        "n_float", "n_fraction", "chunk_size_fraction", "seed_fraction",
+        "threads_fraction", "threads_bool", "m_float", "m_bool", "scatter_seed",
+    ],
+)
+def test_integer_inputs_refused_by_name(name, make):
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got "):
+        make()
 
 
 @pytest.fixture(scope="module")

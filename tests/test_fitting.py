@@ -207,15 +207,15 @@ def test_log_root_nan_while_bracketing():
 
 @st.composite
 def _feasible_cases(draw):
-    # the declared domain; the alphas cover 60% to 99.8% intervals
-    alphas = draw(st.floats(0.001, 0.2)), draw(st.floats(0.8, 0.999))
-    family = draw(st.sampled_from(["beta", "gamma"]))
-    if family == "beta":  # logit centre and log half-width
-        centre, log_half = draw(st.floats(-12.0, 12.0)), draw(st.floats(-8.0, 2.0))
-        half = math.exp(log_half)
+    # the declared domain; the alphas cover 60% to 99.8% intervals. Uniform
+    # draws, as in _solvable_cases: st.floats would put many on the bounds
+    u = draw(st.randoms(use_true_random=True)).uniform
+    alphas = u(0.001, 0.2), u(0.8, 0.999)
+    if u(0.0, 1.0) < 0.5:  # beta: logit centre and log half-width
+        family, centre, half = "beta", u(-12.0, 12.0), math.exp(u(-8.0, 2.0))
         q_low, q_upp = special.expit(centre - half), special.expit(centre + half)
-    else:  # log q_low and log log(q_upp / q_low)
-        log_low, log_width = draw(st.floats(-30.0, 30.0)), draw(st.floats(-6.0, 3.0))
+    else:  # gamma: log q_low and log log(q_upp / q_low)
+        family, log_low, log_width = "gamma", u(-30.0, 30.0), u(-6.0, 3.0)
         q_low, q_upp = math.exp(log_low), math.exp(log_low + math.exp(log_width))
     return family, QuantileConstraint(float(q_low), float(q_upp), *alphas)
 

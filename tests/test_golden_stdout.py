@@ -2,8 +2,8 @@
 
 Each invocation's stdout is compared with a file in ``tests/golden/``. The
 sampled invocations run at small n with ``--chunk-size 4096 --threads 2``,
-so several chunks are drawn by more than one worker; ``scatter`` draws its
-sample in one call and takes only ``--seed``. Any change that moves a
+so several chunks are drawn by more than one worker; ``scatter`` takes only
+``--seed`` and draws its 500 draws as one default-size chunk. Any change that moves a
 single bit of an interval, point estimate or draw shows up here.
 
 A change that moves fitted parameters or draws in the last bits re-captures

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,11 @@ from copulaboot import (
     rho_sweep,
     scatter_draws,
     sens_spec_sigma,
+    validate_correlation_matrix,
 )
+from copulaboot.copula import factor_correlation
 from copulaboot.distributions import cdf
+from copulaboot.engine import _combine_chunk
 from copulaboot.prevalence import rogan_gladen
 from copulaboot.rng import RngStream
 
@@ -296,6 +300,31 @@ class TestScatterDraws:
     def test_m_validation(self):
         with pytest.raises(DomainError):
             scatter_draws(SENS_CI, SPEC_CI, rho=0.0, m=0, seed=123)
+
+    def test_chunks_reproduce_one_block(self):
+        # several default-size chunks give the draws of one 0..m block
+        m = 200_000
+        draws = scatter_draws(SENS_CI, SPEC_CI, rho=-0.5, m=m, seed=9)
+        marginals = [
+            fit_from_quantiles("beta", QuantileConstraint(*ci))
+            for ci in (SENS_CI, SPEC_CI)
+        ]
+        sigma = validate_correlation_matrix([[1.0, -0.5], [-0.5, 1.0]])
+        factor = factor_correlation(sigma)
+        block = _combine_chunk(marginals, factor, RngStream(9), 0, m)
+        assert np.array_equal(draws, block)
+
+    def test_peak_memory_is_the_output_plus_chunk_buffers(self):
+        # the m x 2 output (16m bytes) is the only allocation sized by m
+        m = 1_000_000
+        scatter_draws(SENS_CI, SPEC_CI, rho=-0.5, m=1000, seed=9)  # warm-up
+        tracemalloc.start()
+        try:
+            scatter_draws(SENS_CI, SPEC_CI, rho=-0.5, m=m, seed=9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 16 * m
 
     def test_ci_validation_names_the_ci(self):
         with pytest.raises(DomainError, match="specCI"):
