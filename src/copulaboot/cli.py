@@ -55,7 +55,7 @@ Expression grammar for --expr:
 Scenario files for the coverage command are JSON objects with fields:
   trueParams  list of true parameter values
   dataSizes   list of binomial experiment sizes (one per parameter)
-  combiner    {"expr": "x1*x2"} or {"builtin": "product"}
+  combiner    exactly one of {"expr": "x1*x2"} or {"builtin": "product"}
   sigma       nested row-major list, e.g. [[1,0],[0,1]]
   n           bootstrap draws per trial
   method      "percentile" or "hdi"
@@ -110,26 +110,34 @@ def _parse_ci(flag: str, text: str) -> tuple[float, float]:
     return low, upp
 
 
-def _combiner(kind: str, text, arity: int, name: str) -> Combiner:
-    """An expression (kind "expr") or builtin (kind "builtin") combiner."""
+def _combiner(expr, builtin, arity: int, names: tuple[str, str]) -> Combiner:
+    """The combiner given by exactly one of expression text ``expr`` and a
+    builtin name ``builtin`` (None when not given); ``names`` say where each
+    comes from."""
+    if (expr is None) == (builtin is None):
+        raise UsageError(f"exactly one of {names[0]} or {names[1]} is required")
+    name, text = (names[0], expr) if expr is not None else (names[1], builtin)
     if not isinstance(text, str):
         raise UsageError(f"{name} must be a string, got {type(text).__name__}")
     with _naming(name):
-        if kind == "expr":
+        if expr is not None:
             return Combiner.from_expression(text)
         return Combiner.from_name(text, arity=arity)
 
 
 def _add_common_config(p: argparse.ArgumentParser):
-    p.add_argument("--n", type=int, default=1_000_000, help="bootstrap draw count")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    defaults = BootstrapConfig  # the dataclass's fields hold its defaults
+    p.add_argument("--n", type=int, default=defaults.n, help="bootstrap draw count")
+    p.add_argument("--seed", type=int, default=defaults.seed, help="random seed")
     p.add_argument(
         "--method",
         choices=["percentile", "hdi"],
-        default="percentile",
+        default=defaults.method,
         help="interval method",
     )
-    p.add_argument("--level", type=float, default=0.95, help="confidence level")
+    p.add_argument(
+        "--level", type=float, default=defaults.level, help="confidence level"
+    )
     p.add_argument(
         "--threads",
         type=int,
@@ -137,7 +145,7 @@ def _add_common_config(p: argparse.ArgumentParser):
         help="worker threads (default: all cores; results do not depend on it)",
     )
     p.add_argument(
-        "--chunk-size", type=int, default=65_536, help="draws per work chunk"
+        "--chunk-size", type=int, default=defaults.chunk_size, help="draws per work chunk"
     )
 
 
@@ -215,18 +223,13 @@ def _dump_boot_vals(fh, est: CombinedEstimate):
 def _cmd_combine(args) -> int:
     if not args.dist:
         raise UsageError("at least one --dist is required")
-    if (args.expr is None) == (args.combiner is None):
-        raise UsageError("exactly one of --expr or --combiner is required")
     marginals = [_fit_dist(text) for text in args.dist]
     d = len(marginals)
     if args.sigma is not None:
         sigma = _parse_sigma(args.sigma)
     else:
         sigma = validate_correlation_matrix(np.eye(d))
-    if args.expr is not None:
-        combiner = _combiner("expr", args.expr, d, "--expr")
-    else:
-        combiner = _combiner("builtin", args.combiner, d, "--combiner")
+    combiner = _combiner(args.expr, args.combiner, d, ("--expr", "--combiner"))
 
     config = _make_config(args, return_boot_vals=args.boot_vals is not None)
     fh = nullcontext()
@@ -354,15 +357,13 @@ def _load_scenario(path: str, args) -> CoverageScenario:
     true_params = _scenario_field(data, "trueParams", list, float)
     data_sizes = _scenario_field(data, "dataSizes", list, int)
     comb_spec = _scenario_field(data, "combiner", dict)
-    kind = next((k for k in ("expr", "builtin") if k in comb_spec), None)
-    if kind is None:
-        raise UsageError("scenario file: field 'combiner' needs 'expr' or 'builtin'")
-    combiner = _combiner(
-        kind,
-        comb_spec[kind],
-        len(true_params),
-        f"scenario file: field 'combiner.{kind}'",
-    )
+    with _naming("scenario file"):
+        combiner = _combiner(
+            comb_spec.get("expr"),
+            comb_spec.get("builtin"),
+            len(true_params),
+            ("field 'combiner.expr'", "field 'combiner.builtin'"),
+        )
     raw_sigma = _scenario_field(data, "sigma", list)
     with _naming("scenario file: field 'sigma'"):
         sigma = validate_correlation_matrix(raw_sigma)
@@ -477,13 +478,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec-ci", required=True, metavar="L,U")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--m", type=int, default=10_000, help="number of draws")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument(
+        "--seed", type=int, default=BootstrapConfig.seed, help="random seed"
+    )
     p.set_defaults(func=_cmd_scatter)
 
     p = command("coverage", "Monte-Carlo coverage experiment")
     p.add_argument("--scenario", required=True, metavar="PATH", help="JSON scenario file")
     p.add_argument("--trials", type=int, help="override scenario trial count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=BootstrapConfig.seed)
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_coverage)
 

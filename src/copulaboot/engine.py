@@ -289,7 +289,8 @@ def boot_comb(
     ``valid_range = (low, high)``, low < high, combined values outside the
     open interval are excluded from the empirical sample before the interval
     is computed (the count is reported in the diagnostics). The result is
-    identical for any chunk size and thread count.
+    identical for any chunk size and thread count, and so is the
+    ``NonFiniteDrawError`` that names the first non-finite combined value.
     """
     d = len(marginals)
     if sigma.d != d:
@@ -312,18 +313,17 @@ def boot_comb(
     values, draws = _allocate(n, (n,), (n, d) if config.return_boot_vals else None)
 
     def put(rows, x):
-        values[rows] = combiner(x)
+        v = values[rows]
+        v[:] = combiner(x)
+        # chunks re-raise in draw order, so this names the first bad draw
+        finite = np.isfinite(v)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise NonFiniteDrawError(rows.start + i, x[i].tolist(), float(v[i]))
         if draws is not None:
             draws[rows] = x
 
     _sample(marginals, factor, rng, n, put, config.chunk_size, config.threads)
-
-    finite = np.isfinite(values)
-    if not np.all(finite):
-        idx = int(np.argmin(finite))
-        # re-derive the inputs of the offending draw for the error message
-        x = _combine_chunk(marginals, factor, rng, idx, idx + 1)
-        raise NonFiniteDrawError(idx, x[0].tolist(), float(values[idx]))
 
     # one ascending ordering serves valid_range, the median and both intervals;
     # the returned sample keeps draw order, so only then is a copy sorted

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .errors import DomainError
+
 __all__ = ["RngStream", "derive_seed"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -27,13 +29,25 @@ _U_LOW = 1e-300
 _U_HIGH = 1.0 - 1e-16
 
 
+def _seed(label: str, k) -> int:
+    """``k`` as a Python int, refused unless it lies in [0, 2**64).
+
+    A numpy integer would overflow the 64-bit arithmetic below, and a value
+    out of range would alias one inside it.
+    """
+    k = int(k)
+    if not 0 <= k <= _MASK64:
+        raise DomainError(f"{label} must be in [0, 2**64), got {k}")
+    return k
+
+
 def derive_seed(seed: int, index: int) -> int:
     """Derive an independent 64-bit seed from (seed, index).
 
     splitmix64 finalizer over the combined value; used to give sub-tasks
     (coverage trials) reproducible, well-separated seeds.
     """
-    z = (seed * 0x9E3779B97F4A7C15 + index + 1) & _MASK64
+    z = (_seed("seed", seed) * 0x9E3779B97F4A7C15 + index + 1) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -50,11 +64,15 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        for label in ("seed", "stream_id"):
+            object.__setattr__(self, label, _seed(label, getattr(self, label)))
+
     def uniforms(self, start: int, n: int) -> np.ndarray:
         """The n uniforms in [0, 1) at positions start .. start + n - 1."""
         if start < 0 or n < 0:
             raise ValueError(f"start and n must be >= 0, got {start} and {n}")
-        bg = Philox(key=[self.seed & _MASK64, self.stream_id & _MASK64])
+        bg = Philox(key=[self.seed, self.stream_id])
         skip_blocks, pre = divmod(start, 4)
         if skip_blocks:
             bg.advance(skip_blocks)

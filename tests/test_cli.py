@@ -386,6 +386,8 @@ EXIT_CODES = {
     "level_nan": ([*COMBINE, "--level", "nan"], 2),
     "threads_zero": ([*COMBINE, "--threads", "0"], 2),
     "chunk_zero": ([*COMBINE, "--chunk-size", "0"], 2),
+    "seed_negative": ([*COMBINE, "--seed", "-1"], 2),
+    "seed_too_large": ([*COMBINE, "--seed", str(2**64)], 2),
     "nonfinite_draw": (["combine", "--dist", "beta:0.2:0.4", "--expr", "log(x1-1)",
                         "--n", "1000"], 3),
     # 2**60 draws: numpy refuses the size before allocating anything
@@ -424,6 +426,7 @@ EXIT_CODES = {
     "scatter_m": ([*SCATTER, "--rho", "0", "--m", "0"], 2),
     "scatter_unallocatable": ([*SCATTER, "--rho", "0", "--m", str(2**60)], 3),
     "scatter_rho": ([*SCATTER, "--rho", "1.5"], 2),
+    "scatter_seed_negative": ([*SCATTER, "--rho", "0", "--seed", "-1"], 2),
     "scatter_ci_order": ([*SCATTER, "--rho", "0", "--sens-ci", "0.9,0.8"], 2),
     "scatter_ci_format": ([*SCATTER, "--rho", "0", "--spec-ci", "x,0.9"], 2),
     # coverage scenario files
@@ -436,6 +439,10 @@ EXIT_CODES = {
     "scenario_expr": (cov(combiner={"expr": "x1 **"}), 2),
     "scenario_builtin": (cov(combiner={"builtin": "foo"}), 2),
     "scenario_combiner_kind": (cov(combiner={}), 2),
+    "scenario_combiner_both": (
+        cov(combiner={"expr": "x1+x2", "builtin": "product"}), 2
+    ),
+    "scenario_seed_negative": ([*cov(), "--seed", "-1"], 2),
     "scenario_sigma": (cov(sigma=[[1, 2], [2, 1]]), 2),
     "scenario_dimensions": (cov(dataSizes=[2000, 1500, 10]), 2),
     "scenario_n": (cov(n=5), 2),
