@@ -142,7 +142,8 @@ def _add_common_config(p: argparse.ArgumentParser):
         "--threads",
         type=int,
         default=None,
-        help="worker threads (default: all cores; results do not depend on it)",
+        help="worker threads (default: the CPUs this process may use; "
+        "results do not depend on it)",
     )
     p.add_argument(
         "--chunk-size", type=int, default=defaults.chunk_size, help="draws per work chunk"
@@ -156,7 +157,10 @@ def _add_prev_cis(p: argparse.ArgumentParser):
 
 
 def _make_config(args, return_boot_vals=False) -> BootstrapConfig:
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
+    # the CPUs this process may use: under `taskset` fewer than cpu_count()
+    affinity = getattr(os, "sched_getaffinity", None)
+    usable = len(affinity(0)) if affinity else os.cpu_count() or 1
+    threads = args.threads if args.threads is not None else usable
     return BootstrapConfig(
         n=args.n,
         seed=args.seed,

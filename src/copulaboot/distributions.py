@@ -66,9 +66,6 @@ _TABLE_STEP = 2.0 * _TABLE_Z / (_TABLE_KNOTS - 1)
 # evaluated by the exact kernel; half the stated bound of 1e-9 leaves room
 # for the error off the midpoint and for the exact kernel's own error
 _TABLE_MIDPOINT_TOL = 5e-10
-# draws per evaluation block: its few temporaries (64 KB each) stay in cache
-# and off the chunk-length scale
-_TABLE_BLOCK = 8192
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # number of parameters per family
@@ -248,43 +245,40 @@ def _build_inverse_table(spec: DistributionSpec):
 
 
 def _tabulated_quantile(spec: DistributionSpec, pv: np.ndarray) -> np.ndarray:
-    """Beta or gamma quantile from the spec's table, in place, block by block."""
+    """Beta or gamma quantile from the spec's table, in place, in one pass."""
     coef, exact = spec._inverse_table
-    flat = pv.reshape(-1)
-    out = np.empty(flat.size)
-    for start in range(0, flat.size, _TABLE_BLOCK):
-        p, x = flat[start : start + _TABLE_BLOCK], out[start : start + _TABLE_BLOCK]
-        # cell coordinate: position 1 + (z + _TABLE_Z) / step, clipped to
-        # the sentinel positions 0 and K; its fractional part is s
-        t = special.ndtri(p)
-        t *= 1.0 / _TABLE_STEP
-        t += 1.0 + _TABLE_Z / _TABLE_STEP
-        np.clip(t, 0.0, float(_TABLE_KNOTS), out=t)
-        cell = t.astype(np.intp)
-        t -= cell
-        np.take(coef[3], cell, out=x)
-        g = np.empty_like(x)
-        for row in coef[2::-1]:
-            x *= t
-            np.take(row, cell, out=g)
-            x += g
-        fallback = np.flatnonzero(exact[cell])
-        if spec.family is Family.BETA:
-            # x = 1/(1 + e^-y) from the smaller side, so that min(x, 1 - x)
-            # keeps its relative precision: e/(1 + e) with e = e^-|y|, then
-            # 1 - that where y > 0
-            upper = x > 0.0
-            np.abs(x, out=x)
-            np.negative(x, out=x)
-            np.exp(x, out=x)
-            np.add(x, 1.0, out=g)
-            np.divide(x, g, out=x)
-            np.subtract(1.0, x, out=x, where=upper)
-        else:
-            np.exp(x, out=x)
-        if fallback.size:
-            x[fallback] = _exact_quantile(spec, p[fallback])
-    return out.reshape(pv.shape)
+    p = pv.reshape(-1)
+    # cell coordinate: position 1 + (z + _TABLE_Z) / step, clipped to the
+    # sentinel positions 0 and K; its fractional part is s
+    t = special.ndtri(p)
+    t *= 1.0 / _TABLE_STEP
+    t += 1.0 + _TABLE_Z / _TABLE_STEP
+    np.clip(t, 0.0, float(_TABLE_KNOTS), out=t)
+    cell = t.astype(np.intp)
+    t -= cell
+    x = np.take(coef[3], cell)
+    g = np.empty_like(x)
+    for row in coef[2::-1]:
+        x *= t
+        # cell is in range; mode="raise" would gather via a hidden buffer
+        x += np.take(row, cell, out=g, mode="clip")
+    fallback = np.flatnonzero(exact[cell])
+    if spec.family is Family.BETA:
+        # x = 1/(1 + e^-y) from the smaller side, so that min(x, 1 - x)
+        # keeps its relative precision: e/(1 + e) with e = e^-|y|, then
+        # 1 - that where y > 0
+        upper = x > 0.0
+        np.abs(x, out=x)
+        np.negative(x, out=x)
+        np.exp(x, out=x)
+        np.add(x, 1.0, out=g)
+        np.divide(x, g, out=x)
+        np.subtract(1.0, x, out=x, where=upper)
+    else:
+        np.exp(x, out=x)
+    if fallback.size:
+        x[fallback] = _exact_quantile(spec, p[fallback])
+    return x.reshape(pv.shape)
 
 
 def std_normal_cdf(z):

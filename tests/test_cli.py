@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import copulaboot
+from copulaboot import cli
 from copulaboot.cli import main
 
 HDV_ARGS = [
@@ -107,6 +108,22 @@ class TestCombine:
         _, one = run_cli(HDV_ARGS + ["--threads", "1"], capsys)
         _, eight = run_cli(HDV_ARGS + ["--threads", "8"], capsys)
         assert one == eight
+
+    def test_default_threads_follow_affinity(self, monkeypatch):
+        # a process pinned to one CPU of two gets one worker by default
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        args = cli.build_parser().parse_args(HDV_ARGS)
+        assert cli._make_config(args).threads == 1
+        pinned = cli.build_parser().parse_args(HDV_ARGS + ["--threads", "2"])
+        assert cli._make_config(pinned).threads == 2
+
+    def test_default_threads_without_affinity(self, monkeypatch):
+        # where the platform has no affinity mask, every core counts
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        args = cli.build_parser().parse_args(HDV_ARGS)
+        assert cli._make_config(args).threads == 3
 
     def test_missing_combiner_exits_2(self, capsys):
         code, _ = run_cli(["combine", "--dist", "beta:0.2:0.4"], capsys)

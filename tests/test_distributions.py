@@ -249,6 +249,26 @@ def test_tabulated_quantile_accuracy(spec):
     assert quantile(spec, 1e-300) == _exact_quantile(spec, 1e-300)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [DistributionSpec(Family.BETA, (39.4, 1008)), DistributionSpec(Family.GAMMA, (0.1, 2.5))],
+    ids=lambda s: s.family.value,
+)
+def test_tabulated_quantile_is_elementwise(spec):
+    # a long column gives the values of its uneven slices, with the exact
+    # kernel's values (the u = 0 clamp and p below the table) spread through
+    z = np.random.default_rng(8).standard_normal(70_001) * 3.0
+    p = np.clip(special.ndtr(z), 1e-300, 1.0 - 2.0**-53)
+    p[::997] = 1e-300
+    p[5::1009] = 1e-20
+    whole = quantile(spec, p)
+    cuts = [0, 1, 8_193, 8_200, 40_000, 65_537, 70_001]
+    parts = [quantile(spec, p[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+    assert np.array_equal(whole, np.concatenate(parts))
+    assert whole[0] == _exact_quantile(spec, 1e-300)
+    assert whole[5] == _exact_quantile(spec, 1e-20)
+
+
 def _published_interval(case, method, seed):
     config = BootstrapConfig(n=200_000, seed=seed, method=method, threads=2)
     if case == "hdv_rho05":

@@ -328,6 +328,21 @@ class TestBootComb:
         b = boot_comb(hdv_marginals, sigma, Combiner.product(2), many)
         assert (a.low, a.upp, a.point_estimate) == (b.low, b.upp, b.point_estimate)
 
+    def test_schedule_invariance_past_a_default_chunk(self, hdv_marginals):
+        # one 70,000-draw chunk, uneven chunks and 777-draw chunks, on one and
+        # two workers: each marginal column is evaluated at whatever length
+        # its chunk has, and the interval does not see it
+        sigma = validate_correlation_matrix([[1, 0.5], [0.5, 1]])
+        results = set()
+        for chunk_size in (70_000, 20_000, 777):
+            for threads in (1, 2):
+                config = BootstrapConfig(
+                    n=70_000, seed=5, chunk_size=chunk_size, threads=threads
+                )
+                est = boot_comb(hdv_marginals, sigma, Combiner.product(2), config)
+                results.add((est.low, est.upp, est.point_estimate))
+        assert len(results) == 1
+
     @settings(max_examples=25)
     @given(
         chunk_size=st.integers(1, 2500),
@@ -556,6 +571,18 @@ class TestCombiner:
         assert (combiner.label, combiner.arity) == (name, arity)
         x = np.array([[2.0, 3.0], [0.5, 0.5]])[:, :arity]
         assert combiner(x).tolist() == expected
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_builtins_match_numpy_reductions(self, d):
+        # the column folds against np.prod / np.sum: the product is exact at
+        # every d; numpy sums 8 or more columns pairwise, so from there the
+        # two sums of d terms in [0, 1) may differ by up to 2d ulps
+        x = np.random.default_rng(d).random((5000, d))
+        assert np.array_equal(Combiner.product(d)(x), np.prod(x, axis=1))
+        folded, reduced = Combiner.sum(d)(x), np.sum(x, axis=1)
+        if d < 8:
+            assert np.array_equal(folded, reduced)
+        assert np.all(np.abs(folded - reduced) <= 2 * d * np.spacing(reduced))
 
     def test_from_expression_names_must_bind_every_variable(self):
         with pytest.raises(DomainError, match=r"not bound: \['b'\]"):
