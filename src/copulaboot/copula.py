@@ -3,8 +3,11 @@
 Validates the correlation matrix, factors it (Cholesky, with a
 semidefinite fallback so singular matrices like perfect correlation work),
 and turns stream uniforms into copula uniforms: latent multivariate normals
-mapped back through the standard normal CDF. The engine's sampler applies
-the marginal inverse CDFs to them.
+mapped back through the standard normal CDF. A coordinate that no earlier
+coordinate correlates with (its row of the factor is a unit vector) skips
+that round trip and reads its clamped stream uniform directly, or the one
+it copies under perfect correlation. The engine's sampler applies the
+marginal inverse CDFs to the copula uniforms.
 """
 
 from __future__ import annotations
@@ -137,25 +140,31 @@ def _draw_uniform_block(
 
     Draw i reads stream positions [i*d, (i+1)*d), the package's only map from
     draws to positions, so any split of the draws gives the same rows.
+    Coordinate i whose row of L is a unit vector e_j keeps the clamped stream
+    uniform of coordinate j; any other row is Phi(sum_j L[i, j] Phi^-1(u_j)).
     """
     n, d = stop - start, factor.L.shape[0]
-    raw = rng.uniforms(start * d, n * d).reshape(n, d)
-    np.clip(raw, _U_LOW, _U_HIGH, out=raw)
-    if np.array_equal(factor.L, np.eye(d)):
-        return raw
-    # each chunk-length intermediate is dropped once the next one exists
-    g = std_normal_quantile(raw)
-    del raw
-    # z = g @ L.T added term by term in a fixed order (L is lower-triangular):
-    # BLAS rounds a one-row product unlike a taller one, and a draw must not
-    # depend on the chunk that holds it
-    z = np.empty((d, n))
-    term = np.empty(n)
-    for i in range(d):
-        np.multiply(g[:, 0], factor.L[i, 0], out=z[i])
-        for j in range(1, i + 1):
-            z[i] += np.multiply(g[:, j], factor.L[i, j], out=term)
-    del g, term
-    u = std_normal_cdf(z.T)
-    del z
-    return np.clip(u, _U_LOW, _U_HIGH, out=u)
+    u = rng.uniforms(start * d, n * d).reshape(n, d)
+    np.clip(u, _U_LOW, _U_HIGH, out=u)
+    g = {}  # Phi^-1 of a stream column, taken at most once per chunk
+    # row i reads only columns j <= i, so walking the rows from the last one
+    # lets each row overwrite its own column: the rows still to come read
+    # only columns before it
+    for i in reversed(range(d)):
+        row = factor.L[i]
+        used = np.flatnonzero(row)
+        if used.size == 1 and row[used[0]] == 1.0:
+            if used[0] < i:  # perfect correlation with an earlier coordinate
+                u[:, i] = u[:, used[0]]
+            continue
+        for j in used:
+            if j not in g:
+                g[j] = std_normal_quantile(u[:, j])
+        # z = sum_j g_j L[i, j] added term by term in a fixed order: BLAS
+        # rounds a one-row product unlike a taller one, and a draw must not
+        # depend on the chunk that holds it; a zero term would add nothing
+        z = g[used[0]] * row[used[0]]
+        for j in used[1:]:
+            z += g[j] * row[j]
+        np.clip(std_normal_cdf(z), _U_LOW, _U_HIGH, out=u[:, i])
+    return u

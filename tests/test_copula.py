@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import stats
 
 from copulaboot import (
@@ -12,6 +14,7 @@ from copulaboot import (
     QuantileConstraint,
     boot_comb,
     fit_from_quantiles,
+    sens_spec_sigma,
     validate_correlation_matrix,
 )
 from copulaboot.copula import _draw_uniform_block, factor_correlation
@@ -54,19 +57,67 @@ def sample(marginals, sigma, n, seed, start=0):
     return _combine_chunk(marginals, factor, RngStream(seed), start, start + n)
 
 
-def rebuild_draws(marginals, sigma, n, seed):
-    """The sampler's stages recomputed from public pieces: latents z, draws x."""
-    d = len(marginals)
-    raw = np.clip(RngStream(seed).uniforms(0, n * d).reshape(n, d), _U_LOW, _U_HIGH)
-    g, L = std_normal_quantile(raw), factor_correlation(sigma).L
+def unit_row_source(row):
+    """j if the factor row is the unit vector e_j, else None."""
+    if np.count_nonzero(row) == 1 and 1.0 in row:
+        return int(np.argmax(row))
+    return None
+
+
+def rebuild_uniforms(L, raw):
+    """The copula stage recomputed from clamped stream uniforms: latents z, uniforms u.
+
+    A unit-vector row e_j keeps stream column j; only the other rows go
+    through Phi^-1, L and Phi.
+    """
+    n, d = raw.shape
+    g = std_normal_quantile(raw)
     # z[r, i] = sum over j of g[r, j] * L[i, j], added in order of j
     z = np.array(
         [[sum(float(g[r, j]) * L[i, j] for j in range(d)) for i in range(d)]
          for r in range(n)]
     )
-    u = np.clip(std_normal_cdf(z), _U_LOW, _U_HIGH)
+    u = np.empty((n, d))
+    for i in range(d):
+        j = unit_row_source(L[i])
+        if j is None:
+            u[:, i] = np.clip(std_normal_cdf(z[:, i]), _U_LOW, _U_HIGH)
+        else:
+            u[:, i] = raw[:, j]
+    return z, u
+
+
+def stream_block(seed, n, d):
+    """The clamped stream uniforms of draws 0..n-1, one row per draw."""
+    return np.clip(RngStream(seed).uniforms(0, n * d).reshape(n, d), _U_LOW, _U_HIGH)
+
+
+def rebuild_draws(marginals, sigma, n, seed):
+    """The sampler's stages recomputed from public pieces: latents z, draws x."""
+    raw = stream_block(seed, n, len(marginals))
+    z, u = rebuild_uniforms(factor_correlation(sigma).L, raw)
     x = np.column_stack([quantile(m.spec, u[:, i]) for i, m in enumerate(marginals)])
     return z, x
+
+
+@st.composite
+def block_sigmas(draw):
+    """Correlation matrices of up to 3 independent blocks over up to 5
+    coordinates, in any interleaving. Block b has correlation s_a s_c rho_b
+    between its members a and c, with signs s and rho_b in [0, 1], so rho_b
+    = 1 gives perfect positive and negative correlation and a rank-deficient
+    factor."""
+    d = draw(st.integers(1, 5))
+    blocks = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=d, max_size=d))
+    rho = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+    rhos = draw(st.lists(rho, min_size=3, max_size=3))
+    m = np.eye(d)
+    for a in range(d):
+        for c in range(d):
+            if a != c and blocks[a] == blocks[c]:
+                m[a, c] = signs[a] * signs[c] * rhos[blocks[a]]
+    return validate_correlation_matrix(m)
 
 
 @pytest.fixture
@@ -182,6 +233,38 @@ class TestSampleLatent:
         assert not np.array_equal(first, second)
         whole = sample(beta_marginals, sigma, 100, 123)
         assert np.array_equal(whole, np.vstack([first, second]))
+
+    @given(
+        sigma=block_sigmas(),
+        n=st.integers(1, 40),
+        cuts=st.sets(st.integers(1, 39)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(sigma=validate_correlation_matrix([[1, 1], [1, 1]]), n=9, cuts={4}, seed=1)
+    @example(sigma=validate_correlation_matrix([[1, -1], [-1, 1]]), n=9, cuts={4}, seed=1)
+    @example(sigma=sens_spec_sigma(-0.5), n=9, cuts={1, 2}, seed=1)
+    # row 2 is e_1 while row 1 mixes: coordinate 2 copies the stream normal
+    # of coordinate 1, not its copula uniform
+    @example(sigma=validate_correlation_matrix([[1, 0.6, 0], [0.6, 1, 0.8], [0, 0.8, 1]]),
+             n=9, cuts={4}, seed=1)
+    def test_unit_rows_read_the_stream(self, sigma, n, cuts, seed):
+        # a unit-vector row e_j is stream column j bit for bit; any other
+        # row is Phi(L Phi^-1(u)) on that row alone; any split agrees
+        factor = factor_correlation(sigma)
+        raw = stream_block(seed, n, sigma.d)
+        whole = _draw_uniform_block(factor, RngStream(seed), 0, n)
+        for i, row in enumerate(factor.L):
+            j = unit_row_source(row)
+            if j is not None:
+                assert np.array_equal(whole[:, i], raw[:, j])
+        _, ref = rebuild_uniforms(factor.L, raw)
+        assert np.array_equal(whole, ref)
+        bounds = [0, *sorted(c for c in cuts if c < n), n]
+        pieces = [
+            _draw_uniform_block(factor, RngStream(seed), a, b)
+            for a, b in zip(bounds, bounds[1:])
+        ]
+        assert np.array_equal(np.vstack(pieces), whole)
 
     def test_rank1_equal_components(self, beta_marginals):
         same = [beta_marginals[0], beta_marginals[0]]

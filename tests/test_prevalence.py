@@ -265,6 +265,38 @@ class TestRhoSweep:
         assert rows == again
 
 
+class TestUnmixedCoordinates:
+    """prev and sens are correlated with no earlier coordinate, so they read
+    their stream uniforms directly: for a given seed and stream their draws
+    do not depend on rho, and only spec moves."""
+
+    RHOS = (-0.5, 0.7, 1.0, -1.0)
+
+    def test_boot_comb_prev_and_sens_shared_across_rho(self):
+        marginals = [
+            fit_from_quantiles("beta", QuantileConstraint(*ci))
+            for ci in (PREV_CI, SENS_CI, SPEC_CI)
+        ]
+        config = BootstrapConfig(n=5000, seed=123, chunk_size=1024, return_boot_vals=True)
+
+        def draws(rho):
+            est = boot_comb(marginals, sens_spec_sigma(rho), Combiner.sum(3), config)
+            return est.sample.input_draws
+
+        base = draws(0.0)
+        for rho in self.RHOS:
+            x = draws(rho)
+            assert np.array_equal(x[:, :2], base[:, :2])
+            assert not np.array_equal(x[:, 2], base[:, 2])
+
+    def test_scatter_sens_shared_across_rho(self):
+        base = scatter_draws(SENS_CI, SPEC_CI, rho=0.0, m=5000, seed=123)
+        for rho in self.RHOS:
+            x = scatter_draws(SENS_CI, SPEC_CI, rho=rho, m=5000, seed=123)
+            assert np.array_equal(x[:, 0], base[:, 0])
+            assert not np.array_equal(x[:, 1], base[:, 1])
+
+
 class TestScatterDraws:
     def test_marginals_preserved(self):
         draws = scatter_draws(SENS_CI, SPEC_CI, rho=0.0, m=100_000, seed=123)
