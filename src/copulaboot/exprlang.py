@@ -28,7 +28,6 @@ __all__ = [
     "parse_expression",
     "eval_expression",
     "free_variables",
-    "unparse",
 ]
 
 
@@ -241,18 +240,3 @@ def _eval(node: Expr, bindings: Mapping[str, object]):
         args = [_eval(a, bindings) for a in node.args]
         return _FUNC_IMPL[node.func](*args)
     raise TypeError(f"not an expression node: {node!r}")
-
-
-def unparse(ast: Expr) -> str:
-    """Render a tree back to text; the result parses to an identical tree."""
-    if isinstance(ast, Num):
-        return repr(ast.value)
-    if isinstance(ast, Var):
-        return ast.name
-    if isinstance(ast, Unary):
-        return f"(-{unparse(ast.operand)})"
-    if isinstance(ast, Binary):
-        return f"({unparse(ast.left)}{ast.op}{unparse(ast.right)})"
-    if isinstance(ast, Call):
-        return f"{ast.func}({','.join(unparse(a) for a in ast.args)})"
-    raise TypeError(f"not an expression node: {ast!r}")

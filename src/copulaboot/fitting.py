@@ -2,9 +2,11 @@
 
 Given two quantile constraints (typically the 2.5% and 97.5% points of a
 reported 95% CI), recover the parameters of a chosen family. Each family
-has one deterministic method: a closed form for the normal, bracketed
-root-finding (Brent's method) on log parameters for the gamma and the beta,
-and a 1-D least-squares fit on the probability scale for the exponential.
+has one deterministic method: a closed form for the normal; for the gamma
+and the beta, one bracketed root (Brent's method) over a log parameter,
+with the other parameter in closed form (gamma) or from one library
+inverse, ``special.btdtrib`` (beta); and a 1-D least-squares fit on the
+probability scale for the exponential.
 """
 
 from __future__ import annotations
@@ -165,17 +167,13 @@ def _fit_gamma(c: QuantileConstraint) -> DistributionSpec:
 
 
 def _fit_beta(c: QuantileConstraint) -> DistributionSpec:
-    # nested monotone solve: cdf(q_upp; a, b) rises in b, so b(a) is one
-    # inner root; the outer root in a matches cdf(q_low; a, b(a)) = a_low
+    # btdtrib(a, alpha_upp, q_upp) is the b that puts alpha_upp at q_upp;
+    # one root in a then matches cdf(q_low; a, b(a)) = alpha_low
     m, z = _moment_start(c)
     log_a0 = math.log(max(z * z * (1.0 - m) - m, 1e-3 * m))
-    log_odds = math.log1p(-m) - math.log(m)
 
     def b_of(t):
-        def upp_gap(s):
-            return special.betainc(math.exp(t), math.exp(s), c.q_upp) - c.alpha_upp
-
-        return math.exp(_log_root(upp_gap, t + log_odds, "beta parameter b"))
+        return float(special.btdtrib(math.exp(t), c.alpha_upp, c.q_upp))
 
     def low_gap(t):
         return special.betainc(math.exp(t), b_of(t), c.q_low) - c.alpha_low

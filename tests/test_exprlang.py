@@ -15,7 +15,6 @@ from copulaboot.exprlang import (
     eval_expression,
     free_variables,
     parse_expression,
-    unparse,
 )
 
 
@@ -60,43 +59,81 @@ class TestParse:
             parse_expression("")
 
     @pytest.mark.parametrize(
-        "text",
+        "text,tree",
         [
-            "x1*x2",
-            "(prev+spec-1)/(sens+spec-1)",
-            "2^3^2",
-            "-x + y",
-            "min(max(a, 0), 1)",
-            "log(exp(x))",
-            "sqrt(x)/2 + 1e-3",
-            "a+b*a",
-            "3.5",
-            "a - b - c",
-            "a / b / c",
-            "-(a + b)",
+            pytest.param(text, tree, id=text)
+            for text, tree in [
+                ("x1*x2", Binary("*", Var("x1"), Var("x2"))),
+                (
+                    "(prev+spec-1)/(sens+spec-1)",
+                    Binary(
+                        "/",
+                        Binary("-", Binary("+", Var("prev"), Var("spec")), Num(1.0)),
+                        Binary("-", Binary("+", Var("sens"), Var("spec")), Num(1.0)),
+                    ),
+                ),
+                ("2^3^2", Binary("^", Num(2.0), Binary("^", Num(3.0), Num(2.0)))),
+                ("-x + y", Binary("+", Unary("-", Var("x")), Var("y"))),
+                (
+                    "min(max(a, 0), 1)",
+                    Call("min", (Call("max", (Var("a"), Num(0.0))), Num(1.0))),
+                ),
+                ("log(exp(x))", Call("log", (Call("exp", (Var("x"),)),))),
+                (
+                    "sqrt(x)/2 + 1e-3",
+                    Binary(
+                        "+",
+                        Binary("/", Call("sqrt", (Var("x"),)), Num(2.0)),
+                        Num(1e-3),
+                    ),
+                ),
+                ("a+b*a", Binary("+", Var("a"), Binary("*", Var("b"), Var("a")))),
+                ("3.5", Num(3.5)),
+                ("a - b - c", Binary("-", Binary("-", Var("a"), Var("b")), Var("c"))),
+                ("a / b / c", Binary("/", Binary("/", Var("a"), Var("b")), Var("c"))),
+                ("-(a + b)", Unary("-", Binary("+", Var("a"), Var("b")))),
+            ]
         ],
     )
-    def test_unparse_round_trip(self, text):
-        ast = parse_expression(text)
-        assert parse_expression(unparse(ast)) == ast
+    def test_parses_to_tree(self, text, tree):
+        assert parse_expression(text) == tree
 
 
-# trees the parser can produce: literals are finite and non-negative (a
-# minus sign parses as Unary), and calls have their function's arity
-_TREES = st.recursive(
-    st.floats(min_value=0.0, allow_infinity=False).map(Num)
-    | st.from_regex(r"[a-zA-Z][a-zA-Z0-9_]{0,4}", fullmatch=True).map(Var),
-    lambda sub: st.builds(Unary, st.just("-"), sub)
-    | st.builds(Binary, st.sampled_from("+-*/^"), sub, sub)
-    | st.builds(Call, st.sampled_from(["log", "exp", "sqrt"]), st.tuples(sub))
-    | st.builds(Call, st.sampled_from(["min", "max"]), st.tuples(sub, sub)),
+def _parenthesized(sub):
+    # one node over (text, tree) pairs: the node's text puts every operand
+    # in parentheses, so the tree it must parse to is known without a parser
+    def binary(op, left, right):
+        return f"({left[0]}{op}{right[0]})", Binary(op, left[1], right[1])
+
+    def call(func, *args):
+        text = ",".join(a[0] for a in args)
+        return f"{func}({text})", Call(func, tuple(a[1] for a in args))
+
+    return (
+        sub.map(lambda a: (f"(-{a[0]})", Unary("-", a[1])))
+        | st.builds(binary, st.sampled_from("+-*/^"), sub, sub)
+        | st.builds(call, st.sampled_from(["log", "exp", "sqrt"]), sub)
+        | st.builds(call, st.sampled_from(["min", "max"]), sub, sub)
+    )
+
+
+# (text, tree) pairs the parser must agree with: literals are finite and
+# non-negative (a minus sign parses as Unary), and calls have their
+# function's arity
+_TEXTS_AND_TREES = st.recursive(
+    st.floats(min_value=0.0, allow_infinity=False).map(lambda v: (repr(v), Num(v)))
+    | st.from_regex(r"[a-zA-Z][a-zA-Z0-9_]{0,4}", fullmatch=True).map(
+        lambda name: (name, Var(name))
+    ),
+    _parenthesized,
     max_leaves=12,
 )
 
 
-@given(_TREES)
-def test_unparse_round_trip_generated(ast):
-    assert parse_expression(unparse(ast)) == ast
+@given(_TEXTS_AND_TREES)
+def test_generated_text_parses_to_its_tree(pair):
+    text, tree = pair
+    assert parse_expression(text) == tree
 
 
 # each fixture pairs a bare expression with its fully parenthesized oracle

@@ -254,6 +254,8 @@ def _solvable_cases(draw):
 @given(_solvable_cases())
 def test_fit_succeeds_where_a_solution_exists(case):
     # the narrow-CI FitError needs a relative width below 1e-8, outside this
-    # region, so any FitError here is a fitter failure
+    # region, so any FitError here is a fitter failure. A beta fit, whose b
+    # comes from special.btdtrib, also meets its constraints to 1e-9
     family, c = case
-    assert fit_from_quantiles(family, c).residual <= FIT_TOL
+    bound = 1e-9 if family == "beta" else FIT_TOL
+    assert fit_from_quantiles(family, c).residual <= bound
