@@ -1,8 +1,8 @@
 """Gaussian copula: correlation matrices and the latent uniforms.
 
-Validates the correlation matrix, factors it (Cholesky, with a
-semidefinite fallback so singular matrices like perfect correlation work),
-and turns stream uniforms into copula uniforms: latent multivariate normals
+Validates the correlation matrix, factors it by one pivot-dropping Cholesky
+(so singular matrices like perfect correlation factor too), and turns
+stream uniforms into copula uniforms: latent multivariate normals
 mapped back through the standard normal CDF. A coordinate that no earlier
 coordinate correlates with (its row of the factor is a unit vector) skips
 that round trip and reads its clamped stream uniform directly, or the one
@@ -101,9 +101,14 @@ def validate_correlation_matrix(raw) -> CorrelationMatrix:
     return CorrelationMatrix(entries=m)
 
 
-def _semidefinite_cholesky(m: np.ndarray) -> np.ndarray:
-    # column-wise Cholesky that zeroes columns whose pivot is ~0, so exactly
-    # or nearly singular matrices (e.g. perfect correlation) factor cleanly
+def factor_correlation(sigma: CorrelationMatrix) -> CorrelationFactor:
+    """Factor a validated correlation matrix as L @ L.T with L lower-triangular.
+
+    One pivot-dropping column Cholesky for every matrix: a column whose pivot
+    is at most ``PSD_TOL`` stays zero, so singular matrices (e.g. perfect
+    correlation) factor too, and the rank counts the pivots above it.
+    """
+    m = sigma.entries
     d = m.shape[0]
     L = np.zeros((d, d))
     for j in range(d):
@@ -113,16 +118,6 @@ def _semidefinite_cholesky(m: np.ndarray) -> np.ndarray:
         L[j, j] = np.sqrt(pivot)
         if j + 1 < d:
             L[j + 1 :, j] = (m[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L
-
-
-def factor_correlation(sigma: CorrelationMatrix) -> CorrelationFactor:
-    """Factor a validated correlation matrix as L @ L.T with L lower-triangular."""
-    m = sigma.entries
-    try:
-        L = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        L = _semidefinite_cholesky(m)
     err = float(np.max(np.abs(L @ L.T - m)))
     if err > FACTOR_TOL:
         raise InvalidCorrelationError(

@@ -16,10 +16,10 @@ from numpy.random import Generator, Philox
 from scipy import special
 
 from .copula import CorrelationMatrix
-from .engine import BootstrapConfig, Combiner, _is_int, boot_comb
+from .engine import BootstrapConfig, Combiner, boot_comb
 from .errors import DomainError, FitError
 from .fitting import QuantileConstraint, fit_from_quantiles
-from .rng import derive_seed
+from .rng import _is_int, derive_seed
 
 __all__ = [
     "CoverageScenario",

@@ -45,10 +45,13 @@ class Family(str, Enum):
     EXPONENTIAL = "exponential"
 
     @classmethod
-    def from_name(cls, name: str) -> "Family":
+    def from_name(cls, name) -> "Family":
+        """The family named ``name``, in any case; a member passes through."""
+        if isinstance(name, cls):
+            return name
         try:
             return cls(name.lower())
-        except ValueError:
+        except (AttributeError, ValueError):  # not a string, or no such family
             valid = ", ".join(f.value for f in cls)
             raise DomainError(
                 f"unknown distribution family {name!r}; expected one of: {valid}"
@@ -89,7 +92,7 @@ class DistributionSpec:
     params: tuple[float, ...]
 
     def __post_init__(self):
-        family = Family(self.family)
+        family = Family.from_name(self.family)
         params = tuple(float(p) for p in self.params)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "params", params)
@@ -281,11 +284,8 @@ def _tabulated_quantile(spec: DistributionSpec, pv: np.ndarray) -> np.ndarray:
     return x.reshape(pv.shape)
 
 
-def std_normal_cdf(z):
-    """Standard normal CDF Phi(z)."""
-    zv = np.asarray(z, dtype=float)
-    out = special.ndtr(zv)
-    return out if isinstance(z, np.ndarray) else float(out)
+# standard normal CDF Phi(z)
+std_normal_cdf = special.ndtr
 
 
 def std_normal_quantile(p):

@@ -27,7 +27,7 @@ from .distributions import quantile
 from .errors import CopulabootError, DomainError, NonFiniteDrawError
 from .exprlang import eval_expression, free_variables, parse_expression
 from .fitting import FittedDistribution
-from .rng import RngStream
+from .rng import RngStream, _is_int, _seed
 
 __all__ = [
     "BootstrapConfig",
@@ -45,11 +45,6 @@ MIN_DRAWS = 1000
 DEFAULT_CHUNK_SIZE = 65_536
 
 
-def _is_int(k) -> bool:
-    # bool is an int subclass, but True is no count or seed
-    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
-
-
 @dataclass(frozen=True)
 class BootstrapConfig:
     """Configuration for a bootstrap run."""
@@ -64,11 +59,11 @@ class BootstrapConfig:
 
     def __post_init__(self):
         for label, k in (
-            ("n", self.n), ("seed", self.seed),
-            ("chunkSize", self.chunk_size), ("threads", self.threads),
+            ("n", self.n), ("chunkSize", self.chunk_size), ("threads", self.threads),
         ):
             if not _is_int(k):
                 raise DomainError(f"{label} must be an integer, got {k!r}")
+        _seed("seed", self.seed)
         if self.n < MIN_DRAWS:
             raise DomainError(f"n must be >= {MIN_DRAWS}, got {self.n}")
         if not 0.0 < self.level < 1.0:
@@ -250,12 +245,12 @@ def _combine_chunk(
     """Parameter draws start..stop-1 as a (stop - start) x d matrix.
 
     Each draw depends only on its index, so any chunking of the work
-    reproduces the same draws. This is the package's only sampler.
+    reproduces the same draws. This is the package's only sampler; each
+    marginal's quantiles overwrite its column of the copula uniforms.
     """
-    u = _draw_uniform_block(factor, rng, start, stop)
-    x = np.empty((stop - start, len(marginals)))
+    x = _draw_uniform_block(factor, rng, start, stop)
     for i, marg in enumerate(marginals):
-        x[:, i] = quantile(marg.spec, u[:, i])
+        x[:, i] = quantile(marg.spec, x[:, i])
     return x
 
 

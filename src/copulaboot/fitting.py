@@ -193,7 +193,7 @@ def fit_from_quantiles(
     least-squares optimum and reports the combined residual; a warning is
     emitted when that residual exceeds 1e-3.
     """
-    family = Family.from_name(family) if isinstance(family, str) else family
+    family = Family.from_name(family)
     _check_support(family, constraint)
 
     fitters = {Family.NORMAL: _fit_normal, Family.EXPONENTIAL: _fit_exponential,

@@ -23,13 +23,12 @@ from .engine import (
     Combiner,
     CombinedEstimate,
     _allocate,
-    _is_int,
     _sample,
     boot_comb,
 )
 from .errors import DomainError, UninformativeTestError
 from .fitting import FittedDistribution, QuantileConstraint, fit_from_quantiles
-from .rng import RngStream
+from .rng import RngStream, _is_int, _seed
 
 __all__ = [
     "PrevAdjustRequest",
@@ -184,9 +183,9 @@ def scatter_draws(
     seed: int,
 ) -> np.ndarray:
     """m x 2 matrix of copula-coupled (sensitivity, specificity) draws."""
-    for label, k in (("m", m), ("seed", seed)):
-        if not _is_int(k):
-            raise DomainError(f"{label} must be an integer, got {k!r}")
+    if not _is_int(m):
+        raise DomainError(f"m must be an integer, got {m!r}")
+    _seed("seed", seed)
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     if not -1.0 <= rho <= 1.0:

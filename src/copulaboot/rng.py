@@ -29,12 +29,20 @@ _U_LOW = 1e-300
 _U_HIGH = 1.0 - 1e-16
 
 
-def _seed(label: str, k) -> int:
-    """``k`` as a Python int, refused unless it lies in [0, 2**64).
+def _is_int(k) -> bool:
+    # bool is an int subclass, but True is no count or seed
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
 
-    A numpy integer would overflow the 64-bit arithmetic below, and a value
-    out of range would alias one inside it.
+
+def _seed(label: str, k) -> int:
+    """``k`` as a Python int, refused unless it is an integer in [0, 2**64).
+
+    A float would be truncated to another seed, a numpy integer would
+    overflow the 64-bit arithmetic below, and a value out of range would
+    alias one inside it.
     """
+    if not _is_int(k):
+        raise DomainError(f"{label} must be an integer, got {k!r}")
     k = int(k)
     if not 0 <= k <= _MASK64:
         raise DomainError(f"{label} must be in [0, 2**64), got {k}")

@@ -17,7 +17,7 @@ from copulaboot import (
     sens_spec_sigma,
     validate_correlation_matrix,
 )
-from copulaboot.copula import _draw_uniform_block, factor_correlation
+from copulaboot.copula import FACTOR_TOL, _draw_uniform_block, factor_correlation
 from copulaboot.distributions import cdf, quantile, std_normal_cdf, std_normal_quantile
 from copulaboot.engine import MIN_DRAWS, _combine_chunk
 from copulaboot.rng import _U_HIGH, _U_LOW, RngStream
@@ -200,6 +200,30 @@ class TestFactor:
         f = factor_correlation(sigma)
         assert f.rank == 1
         assert np.max(np.abs(f.L @ f.L.T - sigma.entries)) <= 1e-8
+
+    def test_equals_lapack_on_the_forms_the_runs_use(self):
+        # the HDV 2x2 and the sens/spec 3x3 (prev uncorrelated) at every rho
+        # of a grid, and near the ends: LAPACK's L, bit for bit
+        grid = np.concatenate(
+            [np.linspace(-0.999, 0.999, 1999), 1 - np.logspace(-9, -2, 50)]
+        )
+        for rho in np.concatenate([grid, -grid]):
+            for sigma in (
+                validate_correlation_matrix([[1, rho], [rho, 1]]),
+                sens_spec_sigma(rho),
+            ):
+                L = factor_correlation(sigma).L
+                assert np.array_equal(L, np.linalg.cholesky(sigma.entries)), rho
+
+    def test_pivot_within_psd_tol_is_dropped(self):
+        # positive definite, but its second pivot 1 - r^2 ~ 4e-11 is within
+        # PSD_TOL, so the column drops and the rank is 1
+        r = 1 - 2e-11
+        sigma = validate_correlation_matrix([[1, r], [r, 1]])
+        f = factor_correlation(sigma)
+        assert f.rank == 1
+        assert np.array_equal(f.L[:, 1], [0.0, 0.0])
+        assert np.max(np.abs(f.L @ f.L.T - sigma.entries)) <= FACTOR_TOL
 
     def test_reconstruction_random_psd(self):
         rng = np.random.default_rng(3)

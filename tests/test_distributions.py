@@ -46,6 +46,19 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             Family.from_name("poisson")
 
+    def test_spec_and_fit_share_the_family_name_rule(self):
+        # any case names the family, a member passes through, and an unknown
+        # name is a DomainError wherever it enters
+        for family in ("Beta", "BETA", Family.BETA):
+            assert DistributionSpec(family, (2.0, 3.0)).family is Family.BETA
+            fitted = fit_from_quantiles(family, QuantileConstraint(0.027, 0.050))
+            assert fitted.spec.family is Family.BETA
+        for family in ("foo", None):
+            with pytest.raises(DomainError, match="unknown distribution family"):
+                DistributionSpec(family, (2.0, 3.0))
+            with pytest.raises(DomainError, match="unknown distribution family"):
+                fit_from_quantiles(family, QuantileConstraint(0.027, 0.050))
+
     @pytest.mark.parametrize(
         "family,params",
         [

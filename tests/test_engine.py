@@ -1,9 +1,13 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite_e import hermegauss
+from scipy import special
+from scipy.optimize import brentq
 
 from copulaboot import (
     BootstrapConfig,
@@ -170,10 +174,16 @@ SCATTER_CIS = ((0.837, 0.918), (0.857, 0.975))
         ("m", lambda: scatter_draws(*SCATTER_CIS, rho=0.0, m=10.0, seed=1)),
         ("m", lambda: scatter_draws(*SCATTER_CIS, rho=0.0, m=True, seed=1)),
         ("seed", lambda: scatter_draws(*SCATTER_CIS, rho=0.0, m=10, seed=1.5)),
+        # int() would truncate 2.7 to the stream of seed 2, silently
+        ("seed", lambda: RngStream(2.7)),
+        ("seed", lambda: RngStream(True)),
+        ("stream_id", lambda: RngStream(0, 2.0)),
+        ("seed", lambda: derive_seed(2.9, 0)),
     ],
     ids=[
         "n_float", "n_fraction", "chunk_size_fraction", "seed_fraction",
         "threads_fraction", "threads_bool", "m_float", "m_bool", "scatter_seed",
+        "stream_seed", "stream_seed_bool", "stream_id_float", "derived_seed",
     ],
 )
 def test_integer_inputs_refused_by_name(name, make):
@@ -190,11 +200,9 @@ def test_seed_outside_64_bits_refused_before_any_draw(monkeypatch, seed):
         raise AssertionError("a uniform was drawn")
 
     monkeypatch.setattr(RngStream, "uniforms", no_uniforms)
-    m = fit_from_quantiles("normal", QuantileConstraint(-Z_975, Z_975))
-    sigma = validate_correlation_matrix(np.eye(1))
     match = r"^seed must be in \[0, 2\*\*64\), got "
     with pytest.raises(DomainError, match=match):
-        boot_comb([m], sigma, Combiner.identity(), BootstrapConfig(n=1000, seed=seed))
+        BootstrapConfig(seed=seed)  # refused when built, not later by boot_comb
     with pytest.raises(DomainError, match=match):
         scatter_draws(*SCATTER_CIS, rho=0.0, m=10, seed=seed)
     with pytest.raises(DomainError, match=match):
@@ -486,6 +494,22 @@ class TestBootComb:
         # sample-sized mask of finite values would add 0.125
         assert peak <= 1.22 * 8 * n
 
+    def test_chunk_holds_one_block_of_its_size(self, hdv_marginals):
+        # the quantiles overwrite the block of copula uniforms; an output
+        # array of its own would add one more chunk * d * 8 bytes
+        chunk, d = 65_536, len(hdv_marginals)
+        factor = factor_correlation(validate_correlation_matrix([[1, 0.5], [0.5, 1]]))
+        rng = RngStream(3)
+        _combine_chunk(hdv_marginals, factor, rng, 0, chunk)  # builds the tables
+        tracemalloc.start()
+        try:
+            _combine_chunk(hdv_marginals, factor, rng, 0, chunk)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 3.07 here; an output array of its own read 4.07
+        assert peak <= 3.3 * chunk * d * 8
+
     def test_valid_range_drops_and_counts(self):
         m = fit_from_quantiles("normal", QuantileConstraint(-Z_975, Z_975))
         sigma = validate_correlation_matrix(np.eye(1))
@@ -555,6 +579,58 @@ class TestBootComb:
         with pytest.raises(CopulabootError, match=match) as exc:
             boot_comb(hdv_marginals, sigma, Combiner.product(2), config)
         assert not isinstance(exc.value, ValueError)
+
+
+# probabilists' Gauss-Hermite rule for E[f(Z)], Z ~ N(0, 1)
+GH_Z, GH_W = hermegauss(64)
+GH_W = GH_W / math.sqrt(2.0 * math.pi)
+
+
+def hdv_model_quantile(marginals, rho, p):
+    """Quantile p of x1 * x2 under the fitted model, without sampling.
+
+    F(t) = E[Phi((Phi^-1(F2(t / x1(Z))) - rho Z) / sqrt(1 - rho^2))] with
+    x1(z) = Q1(Phi(z)): the Gaussian copula's law of x2 given the latent
+    normal Z of x1, over Z by Gauss-Hermite, with the exact beta kernels.
+    """
+    (a1, b1), (a2, b2) = (m.spec.params for m in marginals)
+    # x1 at each node, from the tail that keeps its precision
+    x1 = np.where(
+        GH_Z < 0,
+        special.betaincinv(a1, b1, special.ndtr(GH_Z)),
+        special.betainccinv(a1, b1, special.ndtr(-GH_Z)),
+    )
+    s = math.sqrt(1.0 - rho * rho)
+
+    def F(t):
+        g = special.ndtri(special.betainc(a2, b2, np.minimum(t / x1, 1.0)))
+        return float(GH_W @ special.ndtr((g - rho * GH_Z) / s))
+
+    return brentq(lambda t: F(t) - p, 1e-7, 0.05, xtol=1e-15, rtol=1e-14)
+
+
+class TestModelIntervalOracle:
+    """HDV product intervals at n = 1e6 against the fitted model's quantiles.
+
+    SE is the per-run SD of each statistic over seeds: the endpoints at
+    rho = 0 and 0.5 over 24 seeds; the rest over 32 seeds (1000..1031).
+    """
+
+    # rho: (SE of low, median, upp)
+    SE = {
+        0.0: (6.9e-7, 3.5e-7, 1.3e-6),
+        0.5: (8.8e-7, 4.6e-7, 1.6e-6),
+        -0.5: (5.9e-7, 2.7e-7, 8.8e-7),
+    }
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, -0.5])
+    def test_percentile_endpoints_and_median(self, hdv_marginals, rho):
+        sigma = validate_correlation_matrix([[1, rho], [rho, 1]])
+        config = BootstrapConfig(n=1_000_000, seed=2026, threads=2)
+        est = boot_comb(hdv_marginals, sigma, Combiner.product(2), config)
+        got = (est.low, est.point_estimate, est.upp)
+        for p, x, se in zip((0.025, 0.5, 0.975), got, self.SE[rho]):
+            assert abs(x - hdv_model_quantile(hdv_marginals, rho, p)) <= 6 * se
 
 
 class TestCombiner:
