@@ -19,7 +19,7 @@ from .copula import CorrelationMatrix
 from .engine import BootstrapConfig, Combiner, boot_comb
 from .errors import DomainError, FitError
 from .fitting import QuantileConstraint, fit_from_quantiles
-from .rng import _is_int, derive_seed
+from .rng import _count, _level, derive_seed
 
 __all__ = [
     "CoverageScenario",
@@ -30,10 +30,6 @@ __all__ = [
 
 # a run with more than this fraction of excluded trials is considered failed
 MAX_EXCLUDED_FRACTION = 0.01
-
-
-def _is_count(k) -> bool:
-    return _is_int(k) and k >= 1
 
 
 @dataclass(frozen=True)
@@ -52,12 +48,11 @@ class CoverageScenario:
         d = len(self.true_params)
         if len(self.data_sizes) != d or self.sigma.d != d or self.combiner.arity != d:
             raise DomainError("scenario dimensions are inconsistent")
-        if not _is_count(self.trials):
-            raise DomainError(f"trials must be an integer >= 1, got {self.trials}")
+        _count("trials", self.trials)
         if not all(0.0 <= p <= 1.0 for p in self.true_params):
             raise DomainError(f"trueParams must lie in [0, 1], got {self.true_params}")
-        if not all(_is_count(k) for k in self.data_sizes):
-            raise DomainError(f"dataSizes must be integers >= 1, got {self.data_sizes}")
+        for i, k in enumerate(self.data_sizes):
+            _count(f"dataSizes[{i}]", k)
         check = float(
             self.combiner(np.asarray(self.true_params, dtype=float)[None, :])[0]
         )
@@ -84,6 +79,7 @@ def clopper_pearson(
     successes: int, size: int, level: float = 0.95
 ) -> tuple[float, float]:
     """Exact binomial confidence interval via beta quantiles."""
+    _level("level", level)
     if not 0 <= successes <= size:
         raise DomainError(f"need 0 <= successes <= size, got {successes}/{size}")
     alpha = 1.0 - level

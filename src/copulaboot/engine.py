@@ -27,7 +27,7 @@ from .distributions import quantile
 from .errors import CopulabootError, DomainError, NonFiniteDrawError
 from .exprlang import eval_expression, free_variables, parse_expression
 from .fitting import FittedDistribution
-from .rng import RngStream, _is_int, _seed
+from .rng import RngStream, _count, _level, _seed
 
 __all__ = [
     "BootstrapConfig",
@@ -58,24 +58,15 @@ class BootstrapConfig:
     threads: int = 1
 
     def __post_init__(self):
-        for label, k in (
-            ("n", self.n), ("chunkSize", self.chunk_size), ("threads", self.threads),
-        ):
-            if not _is_int(k):
-                raise DomainError(f"{label} must be an integer, got {k!r}")
+        _count("n", self.n, MIN_DRAWS)
+        _count("chunkSize", self.chunk_size)
+        _count("threads", self.threads)
         _seed("seed", self.seed)
-        if self.n < MIN_DRAWS:
-            raise DomainError(f"n must be >= {MIN_DRAWS}, got {self.n}")
-        if not 0.0 < self.level < 1.0:
-            raise DomainError(f"level must be in (0, 1), got {self.level}")
+        _level("level", self.level)
         if self.method not in ("percentile", "hdi"):
             raise DomainError(
                 f"method must be 'percentile' or 'hdi', got {self.method!r}"
             )
-        if self.chunk_size < 1:
-            raise DomainError(f"chunkSize must be >= 1, got {self.chunk_size}")
-        if self.threads < 1:
-            raise DomainError(f"threads must be >= 1, got {self.threads}")
 
 
 @dataclass(frozen=True)
@@ -199,7 +190,8 @@ class Combiner:
         return cls(fn, len(names), text)
 
 
-def _ascending(values) -> np.ndarray:
+def _ascending(values, level) -> np.ndarray:
+    _level("level", level)
     s = np.asarray(values, dtype=float)
     if s.size < 2:
         raise DomainError(f"need at least 2 values, got {s.size}")
@@ -216,7 +208,7 @@ def percentile_interval(values, level: float) -> tuple[float, float]:
     x_floor(h) + t * (x_floor(h)+1 - x_floor(h)), taken from the upper value
     once t >= 0.5: numpy's "linear" rule, bit for bit.
     """
-    s = _ascending(values)
+    s = _ascending(values, level)
     alpha = (1.0 - level) / 2.0
     h = (s.size - 1) * np.array([alpha, 1.0 - alpha])
     i = np.floor(h).astype(np.intp)
@@ -232,8 +224,8 @@ def hdi_interval(values, level: float) -> tuple[float, float]:
     ``DomainError``. Ties are broken by the smallest left index so the
     result is deterministic.
     """
-    s = _ascending(values)
-    m = max(math.ceil(level * s.size), 1)
+    s = _ascending(values, level)
+    m = math.ceil(level * s.size)
     widths = s[m - 1 :] - s[: s.size - m + 1]
     i = int(np.argmin(widths))  # argmin returns the first minimizer
     return float(s[i]), float(s[i + m - 1])

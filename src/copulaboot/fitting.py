@@ -5,8 +5,9 @@ reported 95% CI), recover the parameters of a chosen family. Each family
 has one deterministic method: a closed form for the normal; for the gamma
 and the beta, one bracketed root (Brent's method) over a log parameter,
 with the other parameter in closed form (gamma) or from one library
-inverse, ``special.btdtrib`` (beta); and a 1-D least-squares fit on the
-probability scale for the exponential.
+inverse, ``special.btdtrib`` (beta); and for the exponential, the global
+least-squares rate on the probability scale: the best point of a grid over
+log rate, polished by Brent's method.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import optimize, special
 
 from .distributions import DistributionSpec, Family, cdf, std_normal_quantile
 from .errors import DomainError, FitError
+from .rng import _level
 
 __all__ = [
     "QuantileConstraint",
@@ -50,10 +53,11 @@ class QuantileConstraint:
             raise DomainError(
                 f"qLow must be < qUpp, got ({self.q_low}, {self.q_upp})"
             )
-        if not 0.0 < self.alpha_low < self.alpha_upp < 1.0:
+        _level("alphaLow", self.alpha_low)
+        _level("alphaUpp", self.alpha_upp)
+        if not self.alpha_low < self.alpha_upp:
             raise DomainError(
-                "need 0 < alphaLow < alphaUpp < 1, got "
-                f"({self.alpha_low}, {self.alpha_upp})"
+                f"need alphaLow < alphaUpp, got ({self.alpha_low}, {self.alpha_upp})"
             )
 
 
@@ -72,8 +76,9 @@ def _fit_residual(spec: DistributionSpec, constraint: QuantileConstraint) -> flo
     sqrt[(cdf(qLow) - alphaLow)^2 + (cdf(qUpp) - alphaUpp)^2]; zero iff both
     constraints are met exactly.
     """
-    r_low = cdf(spec, constraint.q_low) - constraint.alpha_low
-    r_upp = cdf(spec, constraint.q_upp) - constraint.alpha_upp
+    with np.errstate(over="ignore"):  # an exponential rate * q past 1.8e308
+        r_low = cdf(spec, constraint.q_low) - constraint.alpha_low
+        r_upp = cdf(spec, constraint.q_upp) - constraint.alpha_upp
     return math.hypot(r_low, r_upp)
 
 
@@ -135,18 +140,28 @@ def _fit_normal(c: QuantileConstraint) -> DistributionSpec:
 
 
 def _fit_exponential(c: QuantileConstraint) -> DistributionSpec:
-    # one parameter, two constraints: least squares over log(rate)
-    rate0 = -math.log1p(-c.alpha_upp) / c.q_upp
-    if rate0 == math.inf:
-        raise FitError(f"exponential start rate overflows for qUpp={c.q_upp}")
-    t0 = math.log(rate0)
+    # least squares over t = log(rate). Every stationary point lies between
+    # the t_i that meet one constraint each, so the best point of a grid over
+    # that span, widened by 1, is within a step of the global minimum; Brent's
+    # method polishes it over the offset s, to a tolerance not relative to t
+    pairs = ((c.q_low, c.alpha_low), (c.q_upp, c.alpha_upp))
 
-    def objective(t):
-        spec = DistributionSpec(Family.EXPONENTIAL, (math.exp(t),))
-        return _fit_residual(spec, c) ** 2
+    def objective(s, t=0.0):  # of a float or an array; hypot does not underflow
+        return np.hypot(*(-np.expm1(-np.exp(t + s) * q) - a for q, a in pairs))
 
-    res = optimize.minimize_scalar(objective, bracket=(t0 - 1.0, t0 + 1.0))
-    return DistributionSpec(Family.EXPONENTIAL, (math.exp(res.x),))
+    with np.errstate(over="ignore", divide="ignore"):
+        t_i = [np.log(-np.log1p(-a) / q) for q, a in pairs]
+        lo, hi = min(t_i) - 1.0, max(t_i) + 1.0
+        # so that exp(t) stays a positive double a grid step past either end
+        if not -740.0 < lo < hi < 708.0:
+            raise FitError(f"exponential log rate leaves (-740, 708) for {pairs}")
+        grid, h = np.linspace(lo, hi, 1025, retstep=True)
+        t = grid[np.argmin(objective(grid))]
+        s = optimize.minimize_scalar(
+            objective, bounds=(-h, h), args=(t,), method="bounded",
+            options={"xatol": 1e-12},
+        ).x
+    return DistributionSpec(Family.EXPONENTIAL, (math.exp(t + s),))
 
 
 def _fit_gamma(c: QuantileConstraint) -> DistributionSpec:
@@ -189,8 +204,8 @@ def fit_from_quantiles(
 
     Two-parameter families must reproduce both constraints to within
     ``FIT_TOL`` on the probability scale or a :class:`FitError` is raised.
-    The exponential (one parameter, two constraints) returns the
-    least-squares optimum and reports the combined residual; a warning is
+    The exponential (one parameter, two constraints) returns the global
+    least-squares rate and reports the combined residual; a warning is
     emitted when that residual exceeds 1e-3.
     """
     family = Family.from_name(family)

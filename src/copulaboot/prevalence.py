@@ -28,7 +28,7 @@ from .engine import (
 )
 from .errors import DomainError, UninformativeTestError
 from .fitting import FittedDistribution, QuantileConstraint, fit_from_quantiles
-from .rng import RngStream, _is_int, _seed
+from .rng import RngStream, _count, _seed
 
 __all__ = [
     "PrevAdjustRequest",
@@ -183,11 +183,8 @@ def scatter_draws(
     seed: int,
 ) -> np.ndarray:
     """m x 2 matrix of copula-coupled (sensitivity, specificity) draws."""
-    if not _is_int(m):
-        raise DomainError(f"m must be an integer, got {m!r}")
+    _count("m", m)
     _seed("seed", seed)
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
     if not -1.0 <= rho <= 1.0:
         raise DomainError(f"rho must be in [-1, 1], got {rho}")
     _check_ci("sensCI", sens_ci)

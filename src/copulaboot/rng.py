@@ -7,11 +7,14 @@ batched, so chunked or parallel execution can reproduce the serial sequence
 exactly.
 
 Philox produces its output in blocks of four 64-bit values; to start at an
-arbitrary position we advance whole blocks and discard the remainder.
+arbitrary position we advance whole blocks and discard the remainder. The
+rules ``_seed``, ``_count`` and ``_level`` check a run's scalar inputs, each
+raising a ``DomainError`` that names the field.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +32,21 @@ _U_LOW = 1e-300
 _U_HIGH = 1.0 - 1e-16
 
 
-def _is_int(k) -> bool:
+def _count(label: str, k, low=1) -> int:
+    """``k`` as a Python int, refused unless an integer >= ``low`` (any if None)."""
     # bool is an int subclass, but True is no count or seed
-    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+        raise DomainError(f"{label} must be an integer, got {k!r}")
+    if low is not None and k < low:
+        raise DomainError(f"{label} must be >= {low}, got {k}")
+    return int(k)
+
+
+def _level(label: str, p) -> float:
+    """``p`` as a float, refused unless a real number strictly in (0, 1)."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 < p < 1.0:
+        raise DomainError(f"{label} must be a number in (0, 1), got {p!r}")
+    return float(p)
 
 
 def _seed(label: str, k) -> int:
@@ -41,9 +56,7 @@ def _seed(label: str, k) -> int:
     overflow the 64-bit arithmetic below, and a value out of range would
     alias one inside it.
     """
-    if not _is_int(k):
-        raise DomainError(f"{label} must be an integer, got {k!r}")
-    k = int(k)
+    k = _count(label, k, low=None)
     if not 0 <= k <= _MASK64:
         raise DomainError(f"{label} must be in [0, 2**64), got {k}")
     return k

@@ -23,6 +23,7 @@ from copulaboot import (
 )
 from copulaboot import engine
 from copulaboot.copula import factor_correlation
+from copulaboot.coverage import CoverageScenario, clopper_pearson
 from copulaboot.engine import _combine_chunk, hdi_interval, percentile_interval
 from copulaboot.rng import RngStream, derive_seed
 
@@ -162,6 +163,18 @@ class TestBootstrapConfig:
 SCATTER_CIS = ((0.837, 0.918), (0.857, 0.975))
 
 
+def scenario(trials=10, sizes=(100, 100)):
+    return CoverageScenario(
+        true_params=(0.1, 0.2),
+        data_sizes=sizes,
+        combiner=Combiner.product(2),
+        true_combined=0.1 * 0.2,
+        sigma=validate_correlation_matrix(np.eye(2)),
+        config=BootstrapConfig(n=1000),
+        trials=trials,
+    )
+
+
 @pytest.mark.parametrize(
     "name, make",
     [
@@ -179,16 +192,66 @@ SCATTER_CIS = ((0.837, 0.918), (0.857, 0.975))
         ("seed", lambda: RngStream(True)),
         ("stream_id", lambda: RngStream(0, 2.0)),
         ("seed", lambda: derive_seed(2.9, 0)),
+        ("trials", lambda: scenario(trials=2.5)),
+        ("trials", lambda: scenario(trials=True)),
+        (r"dataSizes\[1\]", lambda: scenario(sizes=(100, 2.5))),
     ],
     ids=[
         "n_float", "n_fraction", "chunk_size_fraction", "seed_fraction",
         "threads_fraction", "threads_bool", "m_float", "m_bool", "scatter_seed",
         "stream_seed", "stream_seed_bool", "stream_id_float", "derived_seed",
+        "trials_fraction", "trials_bool", "data_size_fraction",
     ],
 )
 def test_integer_inputs_refused_by_name(name, make):
     with pytest.raises(DomainError, match=f"^{name} must be an integer, got "):
         make()
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("n", lambda: BootstrapConfig(n=999)),
+        ("chunkSize", lambda: BootstrapConfig(chunk_size=0)),
+        ("threads", lambda: BootstrapConfig(threads=np.int64(0))),
+        ("m", lambda: scatter_draws(*SCATTER_CIS, rho=0.0, m=0, seed=1)),
+        ("trials", lambda: scenario(trials=0)),
+        (r"dataSizes\[0\]", lambda: scenario(sizes=(-5, 100))),
+    ],
+    ids=["n", "chunk_size", "threads", "m", "trials", "data_size"],
+)
+def test_counts_below_their_floor_refused_by_name(name, make):
+    with pytest.raises(DomainError, match=f"^{name} must be >= "):
+        make()
+
+
+LEVEL_SITES = {
+    "config": ("level", lambda p: BootstrapConfig(level=p)),
+    "alpha_low": ("alphaLow", lambda p: QuantileConstraint(0.1, 0.2, p, 0.975)),
+    "alpha_upp": ("alphaUpp", lambda p: QuantileConstraint(0.1, 0.2, 1e-9, p)),
+    "percentile": ("level", lambda p: percentile_interval(np.arange(10.0), p)),
+    "hdi": ("level", lambda p: hdi_interval(np.arange(10.0), p)),
+    "clopper_pearson": ("level", lambda p: clopper_pearson(5, 10, p)),
+}
+
+
+@pytest.mark.parametrize("site", LEVEL_SITES)
+@pytest.mark.parametrize(
+    "p", ["0.5", None, True, math.nan, 0, 1, -0.5, 1.5],
+    ids=["str", "none", "bool", "nan", "zero", "one", "negative", "above_one"],
+)
+def test_levels_outside_the_unit_interval_refused_by_name(site, p):
+    # unchecked, a str raises a bare TypeError, and the summaries and
+    # clopper_pearson return a reversed, empty or NaN interval
+    name, make = LEVEL_SITES[site]
+    match = f"^{name} must be a number in \\(0, 1\\), got "
+    with pytest.raises(DomainError, match=match):
+        make(p)
+
+
+def test_alpha_order_refused_after_each_level_passes():
+    with pytest.raises(DomainError, match="^need alphaLow < alphaUpp, got "):
+        QuantileConstraint(0.1, 0.2, 0.6, 0.4)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -101,6 +102,27 @@ class TestFitFromQuantiles:
         fit = fit_from_quantiles("exponential", c)
         assert fit.residual <= 1e-6
         assert fit.spec.params[0] == pytest.approx(rate, rel=1e-4)
+
+    @pytest.mark.parametrize(
+        "q_upp, rate, residual",
+        [(971.4, 0.0038352715, 0.021191234340), (2000.0, 0.0018539490, 0.023152559257)],
+    )
+    def test_exponential_global_minimum(self, q_upp, rate, residual):
+        # a CI wider than an exponential's gives two local minima; a search
+        # started at the rate meeting the upper constraint stops at the
+        # worse one, rate 0.02532 with residual 0.025
+        with pytest.warns(UserWarning):
+            fit = fit_from_quantiles("exponential", QuantileConstraint(1.0, q_upp))
+        assert fit.spec.params[0] == pytest.approx(rate, rel=1e-7)
+        assert fit.residual == pytest.approx(residual, rel=1e-9)
+
+    def test_exponential_tiny_levels(self):
+        # rate 1e-200 meets both levels; their squared residuals underflow to
+        # 0 over the whole search, so a sum of squares stops anywhere
+        c = QuantileConstraint(1.0, 2.0, 1e-200, 2e-200)
+        fit = fit_from_quantiles("exponential", c)
+        assert fit.spec.params[0] == pytest.approx(1e-200, rel=1e-9)
+        assert fit.residual <= 1e-209
 
     def test_residual_field_matches_fit_residual(self):
         fit = fit_from_quantiles("beta", QuantileConstraint(0.136, 0.204))
@@ -259,3 +281,47 @@ def test_fit_succeeds_where_a_solution_exists(case):
     family, c = case
     bound = 1e-9 if family == "beta" else FIT_TOL
     assert fit_from_quantiles(family, c).residual <= bound
+
+
+@st.composite
+def _exponential_cases(draw):
+    # CIs over 400 decades, relative widths 1e-6 to 1e4, and uneven levels
+    u = draw(st.randoms(use_true_random=True)).uniform
+    q_low = 10.0 ** u(-200.0, 200.0)
+    q_upp = q_low * (1.0 + 10.0 ** u(-6.0, 4.0))
+    a_low = u(1e-4, 0.5)
+    return QuantileConstraint(q_low, q_upp, a_low, u(a_low + 1e-3, 1.0 - 1e-6))
+
+
+def _grid_min_residual(c, points=20_001):
+    q, a = np.array([c.q_low, c.q_upp]), np.array([c.alpha_low, c.alpha_upp])
+    with np.errstate(over="ignore"):
+        t_i = np.log(-np.log1p(-a) / q)
+        t = np.linspace(t_i.min() - 3.0, t_i.max() + 3.0, points)
+        r = -np.expm1(-np.exp(t)[:, None] * q) - a
+    return float(np.hypot(r[:, 0], r[:, 1]).min())
+
+
+@pytest.mark.parametrize(
+    "q_low, q_upp",
+    # log rates near the top of the double range; rates whose rate * qUpp
+    # overflows (pytest turns the RuntimeWarning into an error)
+    [(1e-307, 1e-306), (1e-300, 1e300), (1e-307, 1e300)],
+)
+def test_exponential_fit_at_the_double_range(q_low, q_upp):
+    c = QuantileConstraint(q_low, q_upp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        fit = fit_from_quantiles("exponential", c)
+    assert fit.residual <= _grid_min_residual(c) * (1.0 + 1e-6)
+
+
+@settings(max_examples=300)
+@given(_exponential_cases())
+def test_exponential_fit_is_the_global_least_squares_rate(c):
+    # a search from one start stops in the worse of two minima for ~3% of
+    # these CIs; the fit must reach a dense log-rate grid's minimum
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        fit = fit_from_quantiles("exponential", c)
+    assert fit.residual <= _grid_min_residual(c) * (1.0 + 1e-6)

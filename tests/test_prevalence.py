@@ -3,7 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from numpy.polynomial.hermite_e import hermegauss
+from scipy import special, stats
+from scipy.optimize import brentq
 
 from copulaboot import (
     BootstrapConfig,
@@ -199,6 +201,74 @@ class TestAdjustPrevalence:
 
         with pytest.raises(UninformativeTestError, match=r"^[1-9]\d* sampled draw\(s\)"):
             adjust_prevalence(req)
+
+
+# probabilists' Gauss-Hermite rule, weights scaled to sum to 1. 96 nodes:
+# at rho = 0 the 64-node rule misses nested quad by 2e-9 in F(0)
+GH_Z, GH_W = hermegauss(96)
+GH_W = GH_W / GH_W.sum()
+
+
+def beta_at_z(params, z):
+    """The beta quantile at Phi(z), from the tail that keeps its precision."""
+    a, b = params
+    return np.where(
+        z < 0,
+        special.betaincinv(a, b, special.ndtr(z)),
+        special.betainccinv(a, b, special.ndtr(-z)),
+    )
+
+
+def sars_model_quantile(rho, p):
+    """Quantile p of the kept Rogan-Gladen values under the fitted model.
+
+    prev is independent of (sens, spec) and sens + spec > 1, so F(t) =
+    P(RG <= t) = E[F_prev(t (se + sp - 1) - sp + 1)] over the (sens, spec)
+    copula, taken on a tensor Gauss-Hermite grid with the exact beta kernels.
+    Draws outside (0, 1) are dropped, so the kept quantile solves
+    (F(t) - F(0)) / (F(1) - F(0)) = p.
+    """
+    prev, sens, spec = (
+        fit_from_quantiles("beta", QuantileConstraint(*ci)).spec.params
+        for ci in (PREV_CI, SENS_CI, SPEC_CI)
+    )
+    z1, z2 = GH_Z[:, None], GH_Z[None, :]
+    se = beta_at_z(sens, z1)
+    sp = beta_at_z(spec, rho * z1 + math.sqrt(1.0 - rho * rho) * z2)
+    w = GH_W[:, None] * GH_W[None, :]
+
+    def F(t):
+        x = np.clip(t * (se + sp - 1.0) - sp + 1.0, 0.0, 1.0)
+        return float(np.sum(w * special.betainc(*prev, x)))
+
+    f0, f1 = F(0.0), F(1.0)
+    return brentq(
+        lambda t: (F(t) - f0) / (f1 - f0) - p, 0.0, 1.0, xtol=1e-15, rtol=1e-14
+    )
+
+
+class TestModelIntervalOracle:
+    """SARS percentile intervals at n = 1e6 against the fitted model's quantiles.
+
+    SE is the per-run SD of each statistic over 32 seeds (1000..1031).
+    """
+
+    # rho: (SE of low, median, upp)
+    SE = {0.0: (1.5e-4, 4.1e-5, 6.8e-5), -0.5: (1.0e-4, 3.8e-5, 6.6e-5)}
+
+    @pytest.mark.parametrize("rho", [0.0, -0.5])
+    def test_percentile_endpoints_and_median(self, rho):
+        req = PrevAdjustRequest(
+            prev_ci=PREV_CI,
+            sens_ci=SENS_CI,
+            spec_ci=SPEC_CI,
+            sigma=sens_spec_sigma(rho),
+            config=BootstrapConfig(n=1_000_000, seed=2026, threads=2),
+        )
+        est = adjust_prevalence(req)  # no point estimates: the kept median
+        got = (est.low, est.point_estimate, est.upp)
+        for p, x, se in zip((0.025, 0.5, 0.975), got, self.SE[rho]):
+            assert abs(x - sars_model_quantile(rho, p)) <= 6 * se
 
 
 class TestRhoSweep:
