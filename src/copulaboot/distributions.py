@@ -25,6 +25,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError
+from .rng import _real
 
 __all__ = [
     "Family",
@@ -71,12 +72,12 @@ _TABLE_STEP = 2.0 * _TABLE_Z / (_TABLE_KNOTS - 1)
 _TABLE_MIDPOINT_TOL = 5e-10
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# number of parameters per family
-_N_PARAMS = {
-    Family.BETA: 2,
-    Family.NORMAL: 2,
-    Family.GAMMA: 2,
-    Family.EXPONENTIAL: 1,
+# parameter names per family, in order
+_PARAM_NAMES = {
+    Family.BETA: ("alpha", "beta"),
+    Family.NORMAL: ("mu", "sigma"),
+    Family.GAMMA: ("shape", "rate"),
+    Family.EXPONENTIAL: ("rate",),
 }
 
 
@@ -93,16 +94,14 @@ class DistributionSpec:
 
     def __post_init__(self):
         family = Family.from_name(self.family)
-        params = tuple(float(p) for p in self.params)
+        names, params = _PARAM_NAMES[family], tuple(self.params)
+        if len(params) != len(names):
+            raise DomainError(
+                f"{family.value} takes {len(names)} parameters, got {len(params)}"
+            )
+        params = tuple(_real(f"{family.value} {n}", p) for n, p in zip(names, params))
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "params", params)
-        if len(params) != _N_PARAMS[family]:
-            raise DomainError(
-                f"{family.value} takes {_N_PARAMS[family]} parameters, "
-                f"got {len(params)}"
-            )
-        if not all(math.isfinite(p) for p in params):
-            raise DomainError(f"non-finite parameter in {params}")
         if family is Family.BETA and (params[0] <= 0 or params[1] <= 0):
             raise DomainError(f"beta requires alpha>0 and beta>0, got {params}")
         if family is Family.NORMAL and params[1] <= 0:
@@ -137,8 +136,9 @@ def cdf(spec: DistributionSpec, x):
         out = special.ndtr((xv - p[0]) / p[1])
     elif fam is Family.GAMMA:
         out = np.where(xv > 0.0, special.gammainc(p[0], p[1] * np.maximum(xv, 0.0)), 0.0)
-    else:  # exponential
-        out = np.where(xv > 0.0, -np.expm1(-p[0] * np.maximum(xv, 0.0)), 0.0)
+    else:  # exponential; a rate * x past 1.8e308 is -expm1(-inf) = 1
+        with np.errstate(over="ignore"):
+            out = np.where(xv > 0.0, -np.expm1(-p[0] * np.maximum(xv, 0.0)), 0.0)
     return out if isinstance(x, np.ndarray) else float(out)
 
 

@@ -7,21 +7,24 @@ and the beta, one bracketed root (Brent's method) over a log parameter,
 with the other parameter in closed form (gamma) or from one library
 inverse, ``special.btdtrib`` (beta); and for the exponential, the global
 least-squares rate on the probability scale: the best point of a grid over
-log rate, polished by Brent's method.
+log rate, polished by Brent's bounded minimiser. The Brent root and the
+Brent minimiser are the package's own, step for step as scipy's ``brentq``
+and ``fminbound``, so that importing the package loads no ``scipy.optimize``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .distributions import DistributionSpec, Family, cdf, std_normal_quantile
 from .errors import DomainError, FitError
-from .rng import _level
+from .rng import _level, _real
 
 __all__ = [
     "QuantileConstraint",
@@ -47,8 +50,8 @@ class QuantileConstraint:
     alpha_upp: float = 0.975
 
     def __post_init__(self):
-        if not (math.isfinite(self.q_low) and math.isfinite(self.q_upp)):
-            raise DomainError("quantiles must be finite")
+        _real("qLow", self.q_low)
+        _real("qUpp", self.q_upp)
         if not self.q_low < self.q_upp:
             raise DomainError(
                 f"qLow must be < qUpp, got ({self.q_low}, {self.q_upp})"
@@ -76,9 +79,8 @@ def _fit_residual(spec: DistributionSpec, constraint: QuantileConstraint) -> flo
     sqrt[(cdf(qLow) - alphaLow)^2 + (cdf(qUpp) - alphaUpp)^2]; zero iff both
     constraints are met exactly.
     """
-    with np.errstate(over="ignore"):  # an exponential rate * q past 1.8e308
-        r_low = cdf(spec, constraint.q_low) - constraint.alpha_low
-        r_upp = cdf(spec, constraint.q_upp) - constraint.alpha_upp
+    r_low = cdf(spec, constraint.q_low) - constraint.alpha_low
+    r_upp = cdf(spec, constraint.q_upp) - constraint.alpha_upp
     return math.hypot(r_low, r_upp)
 
 
@@ -114,20 +116,118 @@ def _log_root(f, x0: float, what: str) -> float:
     """Root of ``f`` over a log parameter, by Brent's method.
 
     The bracket [x0 - 1, x0 + 1] widens by a doubling step on each side until
-    ``f`` changes sign; a NaN from ``f`` or |log| past 700 raises FitError.
+    ``f`` changes sign; a NaN from ``f``, |log| past 700 or no convergence in
+    ``_ROOT_MAXITER`` steps raises FitError.
     """
     lo, hi, step = x0 - 1.0, x0 + 1.0, 2.0
     while abs(lo) < 700.0 and abs(hi) < 700.0:
         f_lo, f_hi = f(lo), f(hi)
         if math.isnan(f_lo) or math.isnan(f_hi):
             raise FitError(f"root function is NaN while bracketing the {what}")
-        if f_lo * f_hi <= 0.0:
-            try:
-                return optimize.brentq(f, lo, hi, xtol=1e-15)
-            except ValueError:  # brentq met a NaN inside the bracket
-                raise FitError(f"root function is NaN solving for the {what}") from None
+        # not f_lo * f_hi <= 0, which two tiny values of one sign underflow
+        if min(f_lo, f_hi) <= 0.0 <= max(f_lo, f_hi):
+            return _brent_root(f, lo, hi, float(f_lo), float(f_hi), what)
         lo, hi, step = lo - step, hi + step, 2.0 * step
     raise FitError(f"no bracket for the {what} with its log inside (-700, 700)")
+
+
+# scipy's brentq at xtol=1e-15: its relative tolerance and its step cap
+_ROOT_XTOL = 1e-15
+_ROOT_RTOL = 4.0 * sys.float_info.epsilon
+_ROOT_MAXITER = 100
+
+
+def _brent_root(f, xpre, xcur, fpre, fcur, what):
+    """Root of ``f`` between ``xpre`` and ``xcur``, where it is ``fpre`` and ``fcur``.
+
+    Brent-Dekker (Brent, *Algorithms for Minimization without Derivatives*,
+    1973, ch. 4), step for step as scipy's ``brentq``: a secant or inverse
+    quadratic step where it is short enough, a bisection where it is not.
+    """
+    if fpre == 0.0:
+        return xpre
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAXITER):
+        if (fpre < 0.0) != (fcur < 0.0):  # a new bracket [xblk, xcur]
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur is the best point so far
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_ROOT_XTOL + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic; a zero denominator is C's infinite step
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise FitError(f"root function is NaN solving for the {what}")
+    raise FitError(f"no root for the {what} within {_ROOT_MAXITER} Brent steps")
+
+
+def _bounded_min(f, a, b, xatol):
+    """Minimiser of ``f`` over [a, b], to ``xatol``.
+
+    Brent's method (*Algorithms for Minimization without Derivatives*, 1973,
+    ch. 5), step for step as scipy's bounded ``minimize_scalar``
+    (``fminbound``): parabolic steps through the three best points, golden
+    section where a parabola is not acceptable, at most 500 evaluations.
+    """
+    sqrt_eps, golden_mean = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = nfc = xf = a + golden_mean * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = float(f(xf))
+    for _ in range(499):
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(xf - xm) <= tol2 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol1:  # try a parabola through xf, nfc and fulc
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                if xf + rat - a < tol2 or b - (xf + rat) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = float(f(x))
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+    return xf
 
 
 def _fit_normal(c: QuantileConstraint) -> DistributionSpec:
@@ -143,7 +243,7 @@ def _fit_exponential(c: QuantileConstraint) -> DistributionSpec:
     # least squares over t = log(rate). Every stationary point lies between
     # the t_i that meet one constraint each, so the best point of a grid over
     # that span, widened by 1, is within a step of the global minimum; Brent's
-    # method polishes it over the offset s, to a tolerance not relative to t
+    # minimiser polishes it over the offset s, to a tolerance not relative to t
     pairs = ((c.q_low, c.alpha_low), (c.q_upp, c.alpha_upp))
 
     def objective(s, t=0.0):  # of a float or an array; hypot does not underflow
@@ -157,10 +257,7 @@ def _fit_exponential(c: QuantileConstraint) -> DistributionSpec:
             raise FitError(f"exponential log rate leaves (-740, 708) for {pairs}")
         grid, h = np.linspace(lo, hi, 1025, retstep=True)
         t = grid[np.argmin(objective(grid))]
-        s = optimize.minimize_scalar(
-            objective, bounds=(-h, h), args=(t,), method="bounded",
-            options={"xatol": 1e-12},
-        ).x
+        s = _bounded_min(lambda s: objective(s, t), -float(h), float(h), 1e-12)
     return DistributionSpec(Family.EXPONENTIAL, (math.exp(t + s),))
 
 

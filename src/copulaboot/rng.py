@@ -8,12 +8,13 @@ exactly.
 
 Philox produces its output in blocks of four 64-bit values; to start at an
 arbitrary position we advance whole blocks and discard the remainder. The
-rules ``_seed``, ``_count`` and ``_level`` check a run's scalar inputs, each
-raising a ``DomainError`` that names the field.
+rules ``_seed``, ``_count``, ``_level`` and ``_real`` check a run's scalar
+inputs, each raising a ``DomainError`` that names the field.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -47,6 +48,17 @@ def _level(label: str, p) -> float:
     if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 < p < 1.0:
         raise DomainError(f"{label} must be a number in (0, 1), got {p!r}")
     return float(p)
+
+
+def _real(label: str, x) -> float:
+    """``x`` as a float, refused unless a finite real number (a bool is not)."""
+    try:
+        v = float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
+    except OverflowError:  # an int or a fraction past the largest double
+        v = math.inf
+    if not math.isfinite(v):
+        raise DomainError(f"{label} must be a finite real number, got {x!r}")
+    return v
 
 
 def _seed(label: str, k) -> int:

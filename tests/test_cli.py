@@ -355,6 +355,19 @@ def test_module_entry_point(argv, expected):
     assert proc.returncode == expected
 
 
+def test_cli_import_loads_neither_scipy_optimize_nor_stats():
+    # each costs start-up in every process: ~0.26 s for optimize, ~0.7 s for stats
+    env = {**os.environ, "PYTHONPATH": str(Path(copulaboot.__file__).parents[1])}
+    code = "import sys, copulaboot.cli; print(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "scipy.special" in loaded
+    assert not loaded & {"scipy.optimize", "scipy.stats"}
+
+
 # Exit-code matrix: every failure is one "error:" line on stderr and exit 2
 # (a ValueError or a command line argparse refuses: bad input, raised before
 # any sampling) or 3 (a failure of the numerics or of the sampled draws). A

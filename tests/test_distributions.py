@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,15 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             DistributionSpec(Family.from_name(family), params)
 
+    @pytest.mark.parametrize(
+        "family, params, field",
+        [("beta", ("a", 1.0), "beta alpha"), ("normal", (0.0, None), "normal sigma"),
+         ("gamma", (True, 1.0), "gamma shape"), ("exponential", (math.inf,), "exponential rate")],
+    )
+    def test_non_number_params_name_the_field(self, family, params, field):
+        with pytest.raises(DomainError, match=f"^{field} must be a finite real number"):
+            DistributionSpec(family, params)
+
 
 class TestCdf:
     def test_standard_normal_at_zero(self):
@@ -82,6 +92,12 @@ class TestCdf:
 
     def test_exponential_support_boundary(self):
         assert cdf(DistributionSpec(Family.EXPONENTIAL, (1,)), 0.0) == 0.0
+
+    def test_exponential_past_the_double_range(self):
+        # rate * x overflows to inf; the cdf there is 1, with no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cdf(DistributionSpec(Family.EXPONENTIAL, (1e300,)), 1e10) == 1.0
 
     def test_symmetric_beta_median(self):
         assert cdf(DistributionSpec(Family.BETA, (2, 2)), 0.5) == pytest.approx(0.5)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import optimize, special
 
 from copulaboot import (
     DistributionSpec,
@@ -16,7 +16,7 @@ from copulaboot import (
     fit_from_quantiles,
 )
 from copulaboot.distributions import cdf, quantile
-from copulaboot.fitting import FIT_TOL, _fit_residual, _log_root
+from copulaboot.fitting import FIT_TOL, _bounded_min, _brent_root, _fit_residual, _log_root
 
 Z_975 = 1.9599639845400545
 
@@ -35,6 +35,15 @@ class TestQuantileConstraint:
     def test_defaults(self):
         c = QuantileConstraint(0.1, 0.2)
         assert (c.alpha_low, c.alpha_upp) == (0.025, 0.975)
+
+    @pytest.mark.parametrize(
+        "q_low, q_upp, field",
+        [("0.1", 0.2, "qLow"), (0.1, None, "qUpp"), (True, 2.0, "qLow"),
+         (math.nan, 0.2, "qLow"), (0.1, math.inf, "qUpp"), (0.1, 10**400, "qUpp")],
+    )
+    def test_non_numbers_name_the_field(self, q_low, q_upp, field):
+        with pytest.raises(DomainError, match=f"^{field} must be a finite real number"):
+            QuantileConstraint(q_low, q_upp)
 
 
 class TestFitResidual:
@@ -225,6 +234,109 @@ def test_narrow_ci_names_the_limit(family, q_low, q_upp, width):
 def test_log_root_nan_while_bracketing():
     with pytest.raises(FitError, match="NaN while bracketing the shape"):
         _log_root(lambda x: math.nan, 0.0, "shape")
+
+
+def test_log_root_brackets_tiny_values_of_one_sign():
+    # 1e-200 * 1e-200 underflows to 0, which is no sign change: the bracket
+    # widens on to the jump at 5
+    def f(x):
+        return 1e-200 if x < 5.0 else -1e-200
+
+    assert _log_root(f, 0.0, "shape") == pytest.approx(5.0, abs=1e-14)
+
+
+def _bracket(f, x0):
+    # _log_root's bracket search: widen [x0 - 1, x0 + 1] until f changes sign
+    lo, hi, step = x0 - 1.0, x0 + 1.0, 2.0
+    while abs(lo) < 700.0 and abs(hi) < 700.0:
+        f_lo, f_hi = f(lo), f(hi)
+        if math.isnan(f_lo) or math.isnan(f_hi):
+            return None
+        if min(f_lo, f_hi) <= 0.0 <= max(f_lo, f_hi):
+            return lo, hi, float(f_lo), float(f_hi)
+        lo, hi, step = lo - step, hi + step, 2.0 * step
+    return None
+
+
+def _root_problems(count):
+    # the fitters' gaps over a log parameter, at random CIs and levels: the
+    # beta's cdf at q as its a varies (b fixed), the gamma's log quantile ratio
+    rng = np.random.default_rng(20261022)
+    while count > 0:
+        a_low, a_upp = rng.uniform(1e-4, 0.4), rng.uniform(0.6, 1.0 - 1e-4)
+        if rng.uniform() < 0.5:
+            b, q = math.exp(rng.uniform(-3.0, 10.0)), special.expit(rng.uniform(-12.0, 12.0))
+
+            def f(t, b=b, q=q, a_low=a_low):
+                return special.betainc(math.exp(t), b, q) - a_low
+        else:
+            target = math.exp(rng.uniform(-8.0, 3.0))
+
+            def f(t, target=target, a=(a_upp, a_low)):
+                upp, low = special.gammaincinv(math.exp(t), a)
+                return math.log(upp) - math.log(low) - target if low > 0.0 else math.inf
+
+        found = _bracket(f, rng.uniform(-5.0, 5.0))
+        if found is not None:
+            count -= 1
+            yield f, found
+
+
+def test_brent_root_is_scipy_brentq():
+    # bit for bit on 1,000 bracketed problems; a NaN stops both
+    for f, (lo, hi, f_lo, f_hi) in _root_problems(1000):
+        try:
+            expected = optimize.brentq(f, lo, hi, xtol=1e-15)
+        except ValueError:
+            with pytest.raises(FitError, match="NaN solving for the x"):
+                _brent_root(f, lo, hi, f_lo, f_hi, "x")
+            continue
+        assert _brent_root(f, lo, hi, f_lo, f_hi, "x") == expected
+
+
+def test_log_root_nan_inside_the_bracket():
+    # f changes sign over [-1, 1] and is NaN at the first Brent step
+    def f(x):
+        return x if abs(x) == 1.0 else math.nan
+
+    with pytest.raises(ValueError):
+        optimize.brentq(f, -1.0, 1.0, xtol=1e-15)
+    with pytest.raises(FitError, match="^root function is NaN solving for the shape$"):
+        _log_root(f, 0.0, "shape")
+
+
+def test_log_root_without_convergence():
+    # a ninth-power zero: 100 Brent steps do not close the bracket
+    def f(x):
+        return (x - 1.0 / 3.0) ** 9
+
+    with pytest.raises(RuntimeError, match="Failed to converge after 100 iterations"):
+        optimize.brentq(f, -1.0, 1.0, xtol=1e-15)
+    with pytest.raises(FitError, match="^no root for the shape within 100 Brent steps$"):
+        _log_root(f, 0.0, "shape")
+
+
+def test_bounded_min_is_scipy_bounded_minimize_scalar():
+    # bit for bit on 1,000 exponential fits' objectives over the offset from
+    # the best grid point, as _fit_exponential builds them
+    rng = np.random.default_rng(20261023)
+    for _ in range(1000):
+        q_low = 10.0 ** rng.uniform(-200.0, 200.0)
+        q_upp = q_low * (1.0 + 10.0 ** rng.uniform(-6.0, 4.0))
+        pairs = tuple(zip((q_low, q_upp), np.sort(rng.uniform(1e-4, 1.0 - 1e-4, 2))))
+
+        def objective(s, t=0.0):
+            return np.hypot(*(-np.expm1(-np.exp(t + s) * q) - a for q, a in pairs))
+
+        with np.errstate(over="ignore"):
+            t_i = [np.log(-np.log1p(-a) / q) for q, a in pairs]
+            grid, h = np.linspace(min(t_i) - 1.0, max(t_i) + 1.0, 1025, retstep=True)
+            t = grid[np.argmin(objective(grid))]
+            expected = optimize.minimize_scalar(
+                objective, bounds=(-h, h), args=(t,), method="bounded",
+                options={"xatol": 1e-12},
+            ).x
+            assert _bounded_min(lambda s: objective(s, t), -float(h), float(h), 1e-12) == expected
 
 
 @st.composite
